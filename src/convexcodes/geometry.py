@@ -9,13 +9,19 @@ which is what lets a single engine decide both open and closed semantics.
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
 the set of membership patterns sigma for which the atom
-``U_sigma minus the union of the other sets`` is nonempty; atoms are decided
-by a depth-first search over one negated constraint per avoided set, with
-incremental infeasibility pruning.
+``U_sigma minus the union of the other sets`` is nonempty.  Extraction
+searches the closed faces of the nerve, those sigma whose region U_sigma
+lies in no set outside sigma: every codeword is one.  A face whose region
+lies inside a skipped set of smaller index is dropped with everything the
+search would add to it, so k sets through one point cost as many faces as
+distinct intersection regions, not 2^k.  The atom of each remaining closed
+face is decided by a depth-first search over one negated constraint per
+avoided set, with incremental infeasibility pruning.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -23,8 +29,6 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .codes import NeuralCode, Word, full_word, members
-
-Rational = Fraction
 
 Point = tuple[Fraction, ...]
 
@@ -370,14 +374,33 @@ def interpret_closure(arr: Arrangement) -> Arrangement:
     return Arrangement(arr.dim, Topology.CLOSED, new_sets)
 
 
+def _pattern(interp: Sequence[tuple[LinearConstraint, ...]], point: Point) -> Word:
+    """The codeword of the sets, given by their interpreted constraints, containing point."""
+    w = 0
+    for i, cons in enumerate(interp):
+        if point_satisfies(cons, point):
+            w |= 1 << i
+    return w
+
+
 def membership_pattern(arr: Arrangement, point: Sequence[Fraction]) -> Word:
     """The codeword of sets containing the point under the arrangement topology."""
-    pt = tuple(_frac(x) for x in point)
-    w = 0
-    for i, p in enumerate(arr.sets, start=1):
-        if point_satisfies(interpreted_constraints(p, arr.topology), pt):
-            w |= 1 << (i - 1)
-    return w
+    interp = [interpreted_constraints(p, arr.topology) for p in arr.sets]
+    return _pattern(interp, tuple(_frac(x) for x in point))
+
+
+def _region_inside(
+    cons: list[LinearConstraint], rows: Sequence[LinearConstraint], dim: int
+) -> bool:
+    """Whether the region cut out by cons lies inside the set cut out by rows.
+
+    It does exactly when the region meets no negation branch of any row; a
+    row among cons holds throughout the region and needs no solve.
+    """
+    return all(
+        c in cons or all(feasible_point(cons + [nb], dim) is None for nb in negation_branches(c))
+        for c in rows
+    )
 
 
 def _atom_search(
@@ -386,21 +409,26 @@ def _atom_search(
     sigma: Word,
     base_constraints: list[LinearConstraint],
     base_witness: Point,
+    base_pattern: Word,
 ) -> Point | None:
     """Find a point of U_sigma avoiding every other set, or prove there is none.
 
-    One negated constraint is chosen per avoided set, depth-first; a branch
-    is pruned as soon as its partial system is infeasible.  Witnesses are
-    reused: a branch whose new constraint already holds at the current
-    witness needs no new solve.
+    base_pattern is the membership pattern of base_witness.  One negated
+    constraint is chosen per avoided set, depth-first; a branch is pruned as
+    soon as its partial system is infeasible.  Witnesses are reused: a branch
+    whose new constraint already holds at the current witness needs no new
+    solve.
     """
-    if membership_pattern(arr, base_witness) == sigma:
+    if base_pattern == sigma:
         return base_witness
     outside = [i for i in range(1, arr.n + 1) if not sigma & (1 << (i - 1))]
-    # sets already disjoint from the base region need no explicit negation
+    # sets already disjoint from the base region need no explicit negation;
+    # a set holding the witness plainly meets it
     levels: list[list[LinearConstraint]] = []
     for j in outside:
-        if feasible_point(base_constraints + list(interp[j - 1]), arr.dim) is None:
+        if not base_pattern & (1 << (j - 1)) and (
+            feasible_point(base_constraints + list(interp[j - 1]), arr.dim) is None
+        ):
             continue
         branches = [nb for c in interp[j - 1] for nb in negation_branches(c)]
         levels.append(branches)
@@ -432,7 +460,7 @@ def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
     w = feasible_point(base, arr.dim)
     if w is None:
         return None
-    return _atom_search(arr, interp, sigma, base, w)
+    return _atom_search(arr, interp, sigma, base, w, _pattern(interp, w))
 
 
 def atom_is_nonempty(arr: Arrangement, sigma: Word) -> bool:
@@ -442,29 +470,61 @@ def atom_is_nonempty(arr: Arrangement, sigma: Word) -> bool:
 def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     """Extract the code of the arrangement: all sigma with a nonempty atom.
 
-    Candidate patterns are the faces of the nerve (subsets with nonempty
-    common intersection), discovered breadth-first from the empty pattern by
-    adding sets in increasing order; the empty codeword is decided by the
-    same atom search as every other pattern.
+    The search runs over the closed faces of the nerve.  A codeword sigma is
+    closed: U_sigma lies in no set outside sigma, since a point of its atom
+    avoids them all.  Faces are discovered breadth-first from the empty
+    pattern by adding sets in increasing order, each with a witness point.
+    At a face sigma with largest set top, the sets j outside sigma that hold
+    the witness are tested in increasing order for U_sigma within U_j, up to
+    the first that contains it:
+
+    - j < top: sigma and every face below it in the search lack j and lie
+      inside U_j, so none is a codeword and the whole subtree is dropped;
+    - j > top: sigma is not a codeword, so its atom search is skipped, and
+      only children adding sets up to j are kept, since the others lack j.
+
+    Containing sets pass down to the children, whose regions they contain
+    too, so no child tests them again.
+
+    The increasing chain of prefixes of a codeword never meets either rule,
+    so every codeword is still reached, and the number of faces searched
+    follows the number of distinct intersection regions rather than 2^k for
+    k sets through one point.  The empty codeword is decided by the same
+    atom search as every other pattern.
     """
     if arr.n > 20:
         raise ValueError(f"arrangement has {arr.n} sets; extraction is capped at 20")
     interp = [interpreted_constraints(p, arr.topology) for p in arr.sets]
     origin = tuple(Fraction(0) for _ in range(arr.dim))
     words: set[Word] = set()
-    queue: list[tuple[Word, int, list[LinearConstraint], Point]] = [(0, 0, [], origin)]
+    # (sigma, top, constraints of U_sigma, witness, sets outside sigma known
+    # to contain U_sigma)
+    queue: deque[tuple[Word, int, list[LinearConstraint], Point, Word]] = deque(
+        [(0, 0, [], origin, 0)]
+    )
     while queue:
-        sigma, top, cons, witness = queue.pop(0)
-        if _atom_search(arr, interp, sigma, cons, witness) is not None:
+        sigma, top, cons, witness, known = queue.popleft()
+        pattern = _pattern(interp, witness)
+        # the smallest known containing set already skips sigma's atom search
+        # and bounds its children, so larger sets need no test
+        cover = (known & -known).bit_length() or arr.n + 1
+        for j in members(pattern & ~sigma & ~known):
+            if j > cover:
+                break
+            if _region_inside(cons, interp[j - 1], arr.dim):
+                known |= 1 << (j - 1)
+                cover = j
+                break
+        if cover < top:
+            continue
+        if not known and _atom_search(arr, interp, sigma, cons, witness, pattern) is not None:
             words.add(sigma)
-        for j in range(top + 1, arr.n + 1):
+        for j in range(top + 1, min(cover, arr.n) + 1):
+            bit = 1 << (j - 1)
             cons2 = cons + list(interp[j - 1])
-            if point_satisfies(interp[j - 1], witness):
-                w2: Point | None = witness
-            else:
-                w2 = feasible_point(cons2, arr.dim)
+            w2 = witness if pattern & bit else feasible_point(cons2, arr.dim)
             if w2 is not None:
-                queue.append((sigma | (1 << (j - 1)), j, cons2, w2))
+                queue.append((sigma | bit, j, cons2, w2, known & ~bit))
     return NeuralCode(arr.n, frozenset(words))
 
 
@@ -498,7 +558,6 @@ __all__ = [
     "LinearConstraint",
     "Point",
     "Polyhedron",
-    "Rational",
     "Rel",
     "Topology",
     "TopologyError",

@@ -21,6 +21,7 @@ from .codes import (
     Word,
     complex_from_faces,
     maximal_codewords,
+    members,
     simplicial_complex,
     word_key,
     word_label,
@@ -174,7 +175,7 @@ def _betti_of_faces(faces: set[Word], top_dim: int) -> tuple[int, ...]:
         cols: list[dict[int, Fraction]] = []
         for f in by_dim.get(k, []):
             col: dict[int, Fraction] = {}
-            verts = [1 << (i - 1) for i in _bits(f)]
+            verts = [1 << (i - 1) for i in members(f)]
             for j, vbit in enumerate(verts):
                 face = f & ~vbit
                 col[rows[face]] = Fraction((-1) ** j)
@@ -186,17 +187,6 @@ def _betti_of_faces(faces: set[Word], top_dim: int) -> tuple[int, ...]:
         f_k = len(by_dim.get(k, []))
         betti.append(f_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
     return tuple(betti)
-
-
-def _bits(w: Word) -> list[int]:
-    out = []
-    i = 1
-    while w:
-        if w & 1:
-            out.append(i)
-        w >>= 1
-        i += 1
-    return out
 
 
 def reduced_homology(cpx: SimplicialComplex) -> tuple[int, ...]:
