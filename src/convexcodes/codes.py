@@ -196,12 +196,12 @@ class MaxIntersectionCheck:
         return self.complete
 
 
-def is_max_intersection_complete(code: NeuralCode) -> MaxIntersectionCheck:
-    """Check that every intersection of >= 2 maximal codewords lies in the code.
+def max_intersections(code: NeuralCode) -> Iterator[tuple[Word, tuple[Word, ...]]]:
+    """Each distinct intersection of >= 2 maximal codewords, with its sets.
 
     Intersections are explored breadth-first (all pairs first, then deeper
-    meets), so a reported witness uses as few maximal codewords as possible
-    and is deterministic.
+    meets), so each value comes once, with as few maximal codewords as give
+    it, in a deterministic order.
     """
     maxima = sorted(maximal_codewords(code), key=word_key)
     seen: dict[Word, tuple[Word, ...]] = {}
@@ -214,8 +214,7 @@ def is_max_intersection_complete(code: NeuralCode) -> MaxIntersectionCheck:
                 continue
             seen[v] = (a, b)
             frontier.append(v)
-            if v not in code.words:
-                return MaxIntersectionCheck(False, (a, b), v)
+            yield v, (a, b)
     while frontier:
         nxt: list[Word] = []
         for v in frontier:
@@ -225,9 +224,19 @@ def is_max_intersection_complete(code: NeuralCode) -> MaxIntersectionCheck:
                     continue
                 seen[u] = seen[v] + (m,)
                 nxt.append(u)
-                if u not in code.words:
-                    return MaxIntersectionCheck(False, seen[u], u)
+                yield u, seen[u]
         frontier = nxt
+
+
+def is_max_intersection_complete(code: NeuralCode) -> MaxIntersectionCheck:
+    """Check that every intersection of >= 2 maximal codewords lies in the code.
+
+    The first missing intersection in breadth-first order is the witness, so
+    it uses as few maximal codewords as possible and is deterministic.
+    """
+    for v, sets in max_intersections(code):
+        if v not in code.words:
+            return MaxIntersectionCheck(False, sets, v)
     return MaxIntersectionCheck(True)
 
 

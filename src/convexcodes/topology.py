@@ -6,6 +6,13 @@ certificate (a cone apex, or a full sequence of elementary collapses down to
 one vertex); NON_CONTRACTIBLE comes with a nonzero reduced Betti number over
 the rationals, or with the observation that the realization is empty.
 Anything else is UNKNOWN.
+
+Decisions read the facets before any face is built: a complex without a
+nonempty facet has an empty realization, and one whose facets share a vertex
+is a cone on it.  In the mandatory-codeword table only faces that are
+intersections of facets build a link; the link of any other face is a cone
+on a vertex of the facets above it.  Collapses find free faces one vertex up:
+sigma is free when it has exactly one coface sigma ∪ {v}.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from .codes import (
     SimplicialComplex,
     Word,
     complex_from_faces,
-    maximal_codewords,
+    max_intersections,
     members,
     simplicial_complex,
     word_key,
@@ -77,35 +84,61 @@ def link(cpx: SimplicialComplex, sigma: Word) -> SimplicialComplex:
 
 
 # --- exact reduced homology over the rationals ---------------------------------
+#
+# An elementary collapse removes a free face sigma together with its only
+# proper coface tau.  In a complex, sigma has one proper coface exactly when it
+# has one coface sigma ∪ {v}: a face sigma ∪ {v, w} would put sigma ∪ {w} in
+# the complex too.  So freeness is read off the cofaces one vertex up.
 
 
-def _proper_submasks(w: Word):
-    sub = (w - 1) & w
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & w
+def _below(g: Word) -> list[Word]:
+    """The faces one vertex below g."""
+    out = []
+    rest = g
+    while rest:
+        bit = rest & -rest
+        out.append(g ^ bit)
+        rest ^= bit
+    return out
 
 
-def _coface_counts(faces: set[Word]) -> dict[Word, int]:
+def _up_counts(faces: set[Word] | frozenset[Word]) -> dict[Word, int]:
+    """For every face, the number of its cofaces sigma ∪ {v} in faces."""
     counts = dict.fromkeys(faces, 0)
     for g in faces:
-        if g == 0:
-            continue
-        for mu in _proper_submasks(g):
+        for mu in _below(g):
             counts[mu] += 1
     return counts
+
+
+def _up_coface(faces: set[Word] | frozenset[Word], sigma: Word, verts: Word) -> Word:
+    """The coface sigma ∪ {v} of a free face sigma; verts covers every face."""
+    rest = verts & ~sigma
+    while True:
+        bit = rest & -rest
+        if sigma | bit in faces:
+            return sigma | bit
+        rest ^= bit
+
+
+def _vertex_mask(faces: set[Word] | frozenset[Word]) -> Word:
+    verts = 0
+    for f in faces:
+        verts |= f
+    return verts
 
 
 def _greedy_collapse(faces: set[Word]) -> tuple[set[Word], list[tuple[Word, Word]]]:
     """Collapse free faces greedily (lexicographically least first) until stuck.
 
     Elementary collapses preserve the homotopy type, so the stuck core has the
-    same homology as the input.  Faces are mutated in place on a copy.
+    same homology as the input.  Faces are mutated in place on a copy.  A
+    collapse changes the one-vertex-up counts only of the faces one vertex
+    below sigma or tau, so only those are re-examined.
     """
     faces = set(faces)
-    counts = _coface_counts(faces)
+    counts = _up_counts(faces)
+    verts = _vertex_mask(faces)
     heap = [(word_key(f), f) for f, c in counts.items() if c == 1 and f != 0]
     heapq.heapify(heap)
     steps: list[tuple[Word, Word]] = []
@@ -113,13 +146,12 @@ def _greedy_collapse(faces: set[Word]) -> tuple[set[Word], list[tuple[Word, Word
         _, sigma = heapq.heappop(heap)
         if sigma not in faces or counts[sigma] != 1:
             continue
-        cofaces = [g for g in faces if g != sigma and sigma & g == sigma]
-        tau = cofaces[0]
+        tau = _up_coface(faces, sigma, verts)
         faces.discard(sigma)
         faces.discard(tau)
         steps.append((sigma, tau))
         for removed in (sigma, tau):
-            for mu in _proper_submasks(removed):
+            for mu in _below(removed):
                 if mu in faces:
                     counts[mu] -= 1
                     if counts[mu] == 1 and mu != 0:
@@ -211,14 +243,13 @@ class _BudgetExhausted(Exception):
 
 
 def _free_pairs(faces: frozenset[Word]) -> list[tuple[Word, Word]]:
-    counts = _coface_counts(set(faces))
-    pairs = []
-    for sigma, c in counts.items():
-        if sigma == 0 or c != 1:
-            continue
-        tau = next(g for g in faces if g != sigma and sigma & g == sigma)
-        pairs.append((sigma, tau))
-    pairs.sort(key=lambda p: (word_key(p[0]), word_key(p[1])))
+    verts = _vertex_mask(faces)
+    pairs = [
+        (sigma, _up_coface(faces, sigma, verts))
+        for sigma, c in _up_counts(faces).items()
+        if c == 1 and sigma != 0
+    ]
+    pairs.sort(key=lambda p: word_key(p[0]))
     return pairs
 
 
@@ -264,25 +295,35 @@ def collapse_to_point(
     return tuple(seq) if seq is not None else None
 
 
+def _meet(facets) -> Word:
+    common = ~0
+    for f in facets:
+        common &= f
+    return common
+
+
+def _cone(apexes: Word) -> ContractibilityResult:
+    """The cone certificate on the lowest of the common vertices ``apexes``."""
+    return ContractibilityResult(
+        Contractibility.CONTRACTIBLE, cone_apex=(apexes & -apexes).bit_length()
+    )
+
+
 def contractibility(
     cpx: SimplicialComplex, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET
 ) -> ContractibilityResult:
     """Decide contractibility of the geometric realization where possible.
 
-    Decision order: empty realization, cone detection, nonzero reduced
-    homology, then bounded collapse search.  A complex whose homology is
-    trivial but which resists collapsing within budget stays UNKNOWN.
+    Decision order: empty realization (no nonempty facet), cone detection,
+    nonzero reduced homology, then bounded collapse search.  The first two
+    read the facets only.  A complex whose homology is trivial but which
+    resists collapsing within budget stays UNKNOWN.
     """
-    faces = cpx.face_set
-    nonempty = [f for f in faces if f]
-    if not nonempty:
+    if not any(cpx.facets):
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
-    common = ~0
-    for f in cpx.facets:
-        common &= f
+    common = _meet(cpx.facets)
     if common:
-        apex = (common & -common).bit_length()
-        return ContractibilityResult(Contractibility.CONTRACTIBLE, cone_apex=apex)
+        return _cone(common)
     betti = reduced_homology(cpx)
     for k, b in enumerate(betti):
         if b:
@@ -305,10 +346,18 @@ def mandatory_codewords(
 
     A face is a mandatory codeword when its link is NON_CONTRACTIBLE: every
     code with this complex that is open or closed convex must contain it.
+    The link of f is a cone on every vertex of the intersection of the
+    facets above f that f lacks, so only faces that are intersections of
+    facets build their link (Curto et al., *What makes a neural code
+    convex?*, 2017); the others get the cone apex the link would give.
     """
     out: dict[Word, ContractibilityResult] = {}
     for f in sorted((f for f in cpx.face_set if f), key=word_key):
-        out[f] = contractibility(link(cpx, f), collapse_budget=collapse_budget)
+        apexes = _meet(g for g in cpx.facets if g & f == f) & ~f
+        if apexes:
+            out[f] = _cone(apexes)
+        else:
+            out[f] = contractibility(link(cpx, f), collapse_budget=collapse_budget)
     return out
 
 
@@ -331,18 +380,10 @@ class LocalObstructionReport:
 
 def _missing_intersections(code: NeuralCode) -> list[Word]:
     """Nonempty intersections of >= 2 maximal codewords that are not codewords."""
-    maxima = sorted(maximal_codewords(code), key=word_key)
-    values: set[Word] = set()
-    frontier: set[Word] = set()
-    for i in range(len(maxima)):
-        for j in range(i + 1, len(maxima)):
-            frontier.add(maxima[i] & maxima[j])
-    while frontier:
-        values |= frontier
-        frontier = {
-            v & m for v in frontier for m in maxima if (v & m) not in values
-        }
-    return sorted((v for v in values if v and v not in code.words), key=word_key)
+    return sorted(
+        (v for v, _ in max_intersections(code) if v and v not in code.words),
+        key=word_key,
+    )
 
 
 def is_locally_good(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 from convexcodes.cli import main
@@ -127,6 +128,18 @@ def test_link_command(capsys):
 
     status, _, err = run(capsys, "link", str(CORPUS / "boxes6.code"), "--face", "6 5")
     assert status == 1 and "not in the code's simplicial complex" in err
+
+
+def test_link_of_face_in_large_facet(tmp_path, capsys):
+    # the link of {2} is the 29-vertex simplex {1,3,...,30}: decided from its
+    # facet, without materialising its 2^29 faces
+    big = tmp_path / "big.code"
+    big.write_text("neurons: 31\n" + " ".join(map(str, range(1, 31))) + "\n1 31\n")
+    start = time.perf_counter()
+    status, out, _ = run(capsys, "link", str(big), "--face", "2")
+    assert time.perf_counter() - start < 5
+    assert status == 0
+    assert "link status: contractible [cone apex 1]" in out
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,12 @@ from convexcodes import (
     neural_code,
     reduced_homology,
     simplicial_complex,
+    topology,
     word,
+    word_key,
 )
-from convexcodes.generators import boxes6_code, gen_cn, neither8_code, sunflower3_code
+from convexcodes.cli import build_analysis
+from convexcodes.generators import boxes6_code, gen_an, gen_cn, neither8_code, sunflower3_code
 
 
 def cpx_of(n, *faces):
@@ -180,6 +184,43 @@ def test_collapse_to_point_sequence_is_valid():
     assert len(faces) == 2 and 0 in faces
 
 
+def _proper_submasks(w):
+    sub = (w - 1) & w
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & w
+
+
+def oracle_free_pairs(faces):
+    """Free pairs (sigma, tau) found by counting every proper coface of every
+    face through all submasks, and tau by scanning all faces."""
+    counts = dict.fromkeys(faces, 0)
+    for g in faces:
+        if g:
+            for mu in _proper_submasks(g):
+                counts[mu] += 1
+    pairs = []
+    for sigma, c in counts.items():
+        if sigma == 0 or c != 1:
+            continue
+        tau = next(g for g in faces if g != sigma and sigma & g == sigma)
+        pairs.append((sigma, tau))
+    pairs.sort(key=lambda p: (word_key(p[0]), word_key(p[1])))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes(max_n=8, max_facets=6))
+def test_free_pairs_match_coface_count_oracle(cpx):
+    faces = cpx.face_set
+    assert topology._free_pairs(faces) == oracle_free_pairs(faces)
+    seq = collapse_to_point(cpx, budget=300)
+    with mock.patch.object(topology, "_free_pairs", oracle_free_pairs):
+        assert seq == collapse_to_point(cpx, budget=300)
+
+
 # --- homology ----------------------------------------------------------------------
 
 
@@ -278,6 +319,35 @@ def test_locally_good_false_case():
     report = is_locally_good(bad)
     assert report.verdict is False
     assert report.obstruction == word([1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(max_n=7, max_facets=6))
+def test_mandatory_table_matches_link_by_link(cpx):
+    # rows answered by a cone apex without a link carry the link's verdict
+    expected = {
+        f: contractibility(link(cpx, f))
+        for f in sorted((f for f in cpx.face_set if f), key=word_key)
+    }
+    table = mandatory_codewords(cpx)
+    assert list(table) == list(expected)
+    assert table == expected
+
+
+@pytest.mark.parametrize("family", [gen_an, gen_cn])
+def test_analysis_builds_links_only_for_facet_intersections(family, monkeypatch):
+    # both tables have 4,114 rows, but only a few faces are intersections of facets
+    calls = 0
+    real_link = topology.link
+
+    def counted(cpx, sigma):
+        nonlocal calls
+        calls += 1
+        return real_link(cpx, sigma)
+
+    monkeypatch.setattr(topology, "link", counted)
+    build_analysis(family(6), include_homology=True)
+    assert calls <= 100
 
 
 def test_locally_good_cross_check_on_corpus(corpus_entries):
