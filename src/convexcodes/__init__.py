@@ -42,7 +42,6 @@ from .geometry import (
     feasible_point,
     find_atom_point,
     interpret_closure,
-    is_feasible,
     line_meets,
     membership_pattern,
     point_satisfies,

@@ -15,7 +15,8 @@ from pathlib import Path
 from .codes import (
     NeuralCode,
     Word,
-    maximal_codewords,
+    is_max_intersection_complete,
+    missing_intersections,
     simplicial_complex,
     word,
     word_key,
@@ -37,8 +38,8 @@ from .geometry import TopologyError, code_of_arrangement
 from .topology import (
     Contractibility,
     ContractibilityResult,
+    LocalObstructionReport,
     contractibility,
-    is_locally_good,
     link,
     mandatory_codewords,
     reduced_homology,
@@ -60,22 +61,19 @@ class AnalysisReport:
 
 
 def build_analysis(code: NeuralCode, include_homology: bool = False) -> AnalysisReport:
-    from .codes import is_max_intersection_complete
-
     cpx = simplicial_complex(code)
     mic = is_max_intersection_complete(code)
     witness = None
     if not mic.complete:
         witness = (mic.witness_sets, mic.witness_value)
-    table = tuple(
-        (f, res, f in code.words)
-        for f, res in mandatory_codewords(cpx).items()
-    )
-    lg = is_locally_good(code)
+    rows = mandatory_codewords(cpx)
+    table = tuple((f, res, f in code.words) for f, res in rows.items())
+    # every missing intersection is a face, so its link status is a table row
+    lg = LocalObstructionReport(tuple((f, rows[f]) for f in missing_intersections(code)))
     betti = reduced_homology(cpx) if include_homology else None
     return AnalysisReport(
         code=code,
-        maximal=tuple(sorted(maximal_codewords(code), key=word_key)),
+        maximal=tuple(cpx.sorted_facets()),
         max_intersection_complete=mic.complete,
         incompleteness_witness=witness,
         mandatory_table=table,

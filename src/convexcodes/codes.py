@@ -132,12 +132,6 @@ class SimplicialComplex:
             return -1
         return max(f.bit_count() for f in self.facets) - 1
 
-    def vertices(self) -> tuple[int, ...]:
-        v = 0
-        for f in self.facets:
-            v |= f
-        return members(v)
-
     def sorted_facets(self) -> list[Word]:
         return sorted(self.facets, key=word_key)
 
@@ -238,6 +232,14 @@ def is_max_intersection_complete(code: NeuralCode) -> MaxIntersectionCheck:
         if v not in code.words:
             return MaxIntersectionCheck(False, sets, v)
     return MaxIntersectionCheck(True)
+
+
+def missing_intersections(code: NeuralCode) -> list[Word]:
+    """Nonempty intersections of >= 2 maximal codewords that are not codewords."""
+    return sorted(
+        (v for v, _ in max_intersections(code) if v and v not in code.words),
+        key=word_key,
+    )
 
 
 def restriction_map(tau: Word) -> dict[int, int]:

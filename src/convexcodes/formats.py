@@ -107,10 +107,6 @@ def _parse_number(token: str, lineno: int) -> Fraction:
         raise ParseError(lineno, f"bad number {token!r}") from None
 
 
-def _format_number(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_arrangement(text: str) -> Arrangement:
     """Parse an arrangement file; rejects '=' rows under open topology."""
     lines = _significant_lines(text)
@@ -191,6 +187,6 @@ def serialize_arrangement(arr: Arrangement) -> str:
                 raise ValueError(
                     "strict rows are expressed by the open topology, not in the file grammar"
                 )
-            row = " ".join(_format_number(a) for a in c.coeffs)
-            lines.append(f"{row} {c.rel.value} {_format_number(c.bound)}")
+            row = " ".join(str(a) for a in c.coeffs)
+            lines.append(f"{row} {c.rel.value} {c.bound}")
     return "\n".join(lines) + "\n"

@@ -340,10 +340,6 @@ def _apply_substitution(
     row[1] = row[1] - ap * e0
 
 
-def is_feasible(constraints: Iterable[LinearConstraint], dim: int) -> bool:
-    return feasible_point(constraints, dim) is not None
-
-
 def point_satisfies(constraints: Iterable[LinearConstraint], point: Sequence[Fraction]) -> bool:
     return all(c.holds_at(point) for c in constraints)
 
@@ -568,10 +564,8 @@ __all__ = [
     "find_atom_point",
     "interpret_closure",
     "interpreted_constraints",
-    "is_feasible",
     "line_meets",
     "membership_pattern",
-    "negation_branches",
     "point_satisfies",
     "polyhedron",
     "set_is_empty",

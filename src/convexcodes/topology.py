@@ -9,10 +9,12 @@ Anything else is UNKNOWN.
 
 Decisions read the facets before any face is built: a complex without a
 nonempty facet has an empty realization, and one whose facets share a vertex
-is a cone on it.  In the mandatory-codeword table only faces that are
-intersections of facets build a link; the link of any other face is a cone
-on a vertex of the facets above it.  Collapses find free faces one vertex up:
-sigma is free when it has exactly one coface sigma ∪ {v}.
+is a cone on it.  Otherwise one greedy collapse runs: a path to a vertex is
+the certificate, else the Betti numbers of its core decide, and a stuck core
+with trivial homology goes to the backtracking search.  In the
+mandatory-codeword table only facet intersections build a link; the link of
+any other face is a cone on a vertex of the facets above it.  Collapses find
+free faces one vertex up: sigma is free when it has one coface sigma ∪ {v}.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .codes import (
     SimplicialComplex,
     Word,
     complex_from_faces,
-    max_intersections,
     members,
+    missing_intersections,
     simplicial_complex,
     word_key,
     word_label,
@@ -128,13 +130,21 @@ def _vertex_mask(faces: set[Word] | frozenset[Word]) -> Word:
     return verts
 
 
-def _greedy_collapse(faces: set[Word]) -> tuple[set[Word], list[tuple[Word, Word]]]:
+def _meet(facets) -> Word:
+    common = ~0
+    for f in facets:
+        common &= f
+    return common
+
+
+def _greedy_collapse(faces: frozenset[Word]) -> tuple[set[Word], list[tuple[Word, Word]]]:
     """Collapse free faces greedily (lexicographically least first) until stuck.
 
     Elementary collapses preserve the homotopy type, so the stuck core has the
     same homology as the input.  Faces are mutated in place on a copy.  A
     collapse changes the one-vertex-up counts only of the faces one vertex
-    below sigma or tau, so only those are re-examined.
+    below sigma or tau, so only those are re-examined.  The steps are the
+    first branch of ``collapse_to_point``'s search.
     """
     faces = set(faces)
     counts = _up_counts(faces)
@@ -224,14 +234,17 @@ def _betti_of_faces(faces: set[Word], top_dim: int) -> tuple[int, ...]:
 def reduced_homology(cpx: SimplicialComplex) -> tuple[int, ...]:
     """Reduced rational Betti numbers, indexed by dimension 0..dim(cpx).
 
-    A greedy collapse shrinks the complex first; collapses are homotopy
+    A cone (facets sharing a vertex) gets zeros from its facets.  Otherwise a
+    greedy collapse shrinks the complex first; collapses are homotopy
     equivalences, so the boundary-matrix ranks of the core give the Betti
     numbers of the input.  All arithmetic is exact.
     """
     top_dim = cpx.dim
     if top_dim < 0:
         return ()
-    core, _ = _greedy_collapse(set(cpx.face_set))
+    if _meet(cpx.facets):
+        return (0,) * (top_dim + 1)
+    core, _ = _greedy_collapse(cpx.face_set)
     return _betti_of_faces(core, top_dim)
 
 
@@ -295,13 +308,6 @@ def collapse_to_point(
     return tuple(seq) if seq is not None else None
 
 
-def _meet(facets) -> Word:
-    common = ~0
-    for f in facets:
-        common &= f
-    return common
-
-
 def _cone(apexes: Word) -> ContractibilityResult:
     """The cone certificate on the lowest of the common vertices ``apexes``."""
     return ContractibilityResult(
@@ -315,17 +321,21 @@ def contractibility(
     """Decide contractibility of the geometric realization where possible.
 
     Decision order: empty realization (no nonempty facet), cone detection,
-    nonzero reduced homology, then bounded collapse search.  The first two
-    read the facets only.  A complex whose homology is trivial but which
-    resists collapsing within budget stays UNKNOWN.
+    greedy collapse to a point (the first branch of ``collapse_to_point``,
+    taken when it fits the budget), nonzero reduced homology of the greedy
+    core, then bounded backtracking collapse search.  The first two read the
+    facets only.  A complex whose homology is trivial but which resists
+    collapsing within budget stays UNKNOWN.
     """
     if not any(cpx.facets):
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
     common = _meet(cpx.facets)
     if common:
         return _cone(common)
-    betti = reduced_homology(cpx)
-    for k, b in enumerate(betti):
+    core, steps = _greedy_collapse(cpx.face_set)
+    if len(core) == 2 and len(steps) <= collapse_budget:
+        return ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=tuple(steps))
+    for k, b in enumerate(_betti_of_faces(core, cpx.dim)):
         if b:
             return ContractibilityResult(
                 Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k
@@ -365,25 +375,31 @@ def mandatory_codewords(
 class LocalObstructionReport:
     """Verdict of the locally-good test plus the faces it had to examine.
 
-    ``verdict`` is True/False/None (None = some needed status is UNKNOWN).
     ``checked`` maps each nonempty intersection of >= 2 maximal codewords
-    missing from the code to the contractibility of its link.
+    missing from the code to the contractibility of its link.  ``verdict``
+    is True/False/None (None = some needed status is UNKNOWN); the
+    ``obstruction`` is the first checked face with a non-contractible link.
     """
 
-    verdict: bool | None
     checked: tuple[tuple[Word, ContractibilityResult], ...]
-    obstruction: Word | None = None
+
+    @property
+    def obstruction(self) -> Word | None:
+        return next(
+            (f for f, res in self.checked if res.status is Contractibility.NON_CONTRACTIBLE),
+            None,
+        )
+
+    @property
+    def verdict(self) -> bool | None:
+        if self.obstruction is not None:
+            return False
+        if any(res.status is Contractibility.UNKNOWN for _, res in self.checked):
+            return None
+        return True
 
     def checked_faces(self) -> tuple[Word, ...]:
         return tuple(f for f, _ in self.checked)
-
-
-def _missing_intersections(code: NeuralCode) -> list[Word]:
-    """Nonempty intersections of >= 2 maximal codewords that are not codewords."""
-    return sorted(
-        (v for v, _ in max_intersections(code) if v and v not in code.words),
-        key=word_key,
-    )
 
 
 def is_locally_good(
@@ -397,23 +413,10 @@ def is_locally_good(
     codeword of the complex.
     """
     cpx = simplicial_complex(code)
-    checked: list[tuple[Word, ContractibilityResult]] = []
-    obstruction: Word | None = None
-    saw_unknown = False
-    for f in _missing_intersections(code):
-        res = contractibility(link(cpx, f), collapse_budget=collapse_budget)
-        checked.append((f, res))
-        if res.status is Contractibility.NON_CONTRACTIBLE and obstruction is None:
-            obstruction = f
-        elif res.status is Contractibility.UNKNOWN:
-            saw_unknown = True
-    if obstruction is not None:
-        verdict: bool | None = False
-    elif saw_unknown:
-        verdict = None
-    else:
-        verdict = True
-    return LocalObstructionReport(verdict, tuple(checked), obstruction)
+    return LocalObstructionReport(tuple(
+        (f, contractibility(link(cpx, f), collapse_budget=collapse_budget))
+        for f in missing_intersections(code)
+    ))
 
 
 __all__ = [

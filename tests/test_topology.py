@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from convexcodes import (
     Contractibility,
     FaceNotFoundError,
+    NeuralCode,
+    SimplicialComplex,
     collapse_to_point,
     complex_from_faces,
     contractibility,
@@ -46,6 +50,17 @@ def complexes(draw, max_n=6, max_facets=6):
         )
     )
     return complex_from_faces(n, facets)
+
+
+@st.composite
+def codes(draw, max_n=8, max_words=10):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    words = draw(
+        st.frozensets(
+            st.integers(min_value=0, max_value=full_word(n)), min_size=1, max_size=max_words
+        )
+    )
+    return NeuralCode(n, words)
 
 
 # --- independent homology oracle: dense elimination on the full complex -----------
@@ -170,6 +185,9 @@ def test_budget_zero_gives_unknown():
     path = cpx_of(6, (5, 1), (1, 2), (2, 6))
     res = contractibility(path, collapse_budget=0)
     assert res.status is Contractibility.UNKNOWN
+    # the 3-step path visits 3 states, one more than a budget of 2 allows
+    assert contractibility(path, collapse_budget=2).status is Contractibility.UNKNOWN
+    assert len(contractibility(path, collapse_budget=3).collapse_steps) == 3
 
 
 def test_collapse_to_point_sequence_is_valid():
@@ -221,6 +239,15 @@ def test_free_pairs_match_coface_count_oracle(cpx):
         assert seq == collapse_to_point(cpx, budget=300)
 
 
+@settings(max_examples=100, deadline=None)
+@given(complexes(max_n=8, max_facets=6))
+def test_collapse_certificate_is_first_search_branch(cpx):
+    # a greedy collapse to a point is the search's first branch, so the same steps
+    res = contractibility(cpx)
+    if res.collapse_steps is not None:
+        assert res.collapse_steps == collapse_to_point(cpx)
+
+
 # --- homology ----------------------------------------------------------------------
 
 
@@ -253,6 +280,15 @@ def test_cone_has_trivial_homology(cpx, apex_seed):
     res = contractibility(cone)
     assert res.status is Contractibility.CONTRACTIBLE
     assert res.cone_apex is not None
+
+
+def test_homology_of_cone_builds_no_face(monkeypatch):
+    # building the faces of the 24-vertex facet would take 2^24 of them
+    cpx = complex_from_faces(25, [full_word(24), word([1, 25])])
+    monkeypatch.setattr(SimplicialComplex, "face_set", property(lambda _: pytest.fail("faces built")))
+    t0 = time.perf_counter()
+    assert reduced_homology(cpx) == (0,) * 24
+    assert time.perf_counter() - t0 < 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,6 +348,14 @@ def test_locally_good_examples():
     assert is_locally_good(sunflower3_code()).checked == ()
 
 
+def test_locally_good_unknown_within_budget():
+    # neither8's checked links need collapse sequences, which a zero budget forbids
+    report = is_locally_good(neither8_code(), collapse_budget=0)
+    assert report.verdict is None
+    assert report.obstruction is None
+    assert all(res.status is Contractibility.UNKNOWN for _, res in report.checked)
+
+
 def test_locally_good_false_case():
     # hollow-triangle code: every pairwise intersection of maximal words is a
     # missing vertex whose link is two points
@@ -360,3 +404,48 @@ def test_locally_good_cross_check_on_corpus(corpus_entries):
         for face, res in table.items():
             if res.status is Contractibility.NON_CONTRACTIBLE:
                 assert face in entry.code.words, (entry.name, members(face))
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(max_n=8))
+def test_analysis_locally_good_matches_is_locally_good(code):
+    report = build_analysis(code)
+    expected = is_locally_good(code)
+    assert report.locally_good == expected.verdict
+    assert report.locally_good_checked == expected.checked
+    # the obstruction is the first mandatory codeword the code lacks
+    missing_mandatory = [
+        f for f, res, in_code in report.mandatory_table
+        if not in_code and res.status is Contractibility.NON_CONTRACTIBLE
+    ]
+    assert expected.obstruction == next(iter(missing_mandatory), None)
+
+
+def test_analysis_builds_each_link_once(monkeypatch):
+    built = Counter()
+    real_link = topology.link
+
+    def counted(cpx, sigma):
+        built[sigma] += 1
+        return real_link(cpx, sigma)
+
+    monkeypatch.setattr(topology, "link", counted)
+    report = build_analysis(neither8_code(), include_homology=True)
+    assert report.locally_good is True
+    assert {word([1]), word([3]), word([7])} <= set(built)
+    assert max(built.values()) == 1
+
+
+def test_analysis_replays_no_collapse_search_on_corpus(corpus_entries, monkeypatch):
+    calls = 0
+    real_search = topology.collapse_to_point
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "collapse_to_point", counted)
+    for entry in corpus_entries:
+        build_analysis(entry.code, include_homology=True)
+    assert calls == 0
