@@ -20,9 +20,10 @@ Arrangement files::
     -1 0 <= 9
 
 Each constraint line holds the coefficient row, a relation (``<=`` or ``=``),
-and the bound; numbers are integers or reduced fractions ``p/q``.  Equality
-rows are rejected under open topology.  Serialization never reorders
-constraints, so reports may reference row positions.
+and the bound; numbers are integers or fractions ``p/q``, optionally signed
+(decimals and exponents are rejected).  Equality rows are rejected under
+open topology.  Serialization never reorders constraints, so reports may
+reference row positions.
 
 Both serializers are deterministic (equal values give byte-identical output,
 UTF-8, LF line endings), and parse∘serialize is the identity on canonical
@@ -31,9 +32,10 @@ form.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .codes import NeuralCode, Word, members, word, word_key
+from .codes import MAX_NEURONS, NeuralCode, Word, members, word, word_key
 from .geometry import (
     Arrangement,
     LinearConstraint,
@@ -75,6 +77,8 @@ def parse_code(text: str) -> NeuralCode:
         raise ParseError(lineno, "neuron count is not an integer") from None
     if n < 1:
         raise ParseError(lineno, "neuron count must be positive")
+    if n > MAX_NEURONS:
+        raise ParseError(lineno, f"neuron count {n} exceeds the {MAX_NEURONS}-neuron cap")
     words: set[Word] = set()
     for lineno, line in lines[1:]:
         if line == "-":
@@ -100,7 +104,14 @@ def serialize_code(code: NeuralCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+# an integer or p/q; Fraction() alone would also take decimals and exponents,
+# and an exponent like 1e10000000 costs time and memory to expand
+_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _parse_number(token: str, lineno: int) -> Fraction:
+    if not _NUMBER.fullmatch(token):
+        raise ParseError(lineno, f"bad number {token!r}")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -2,9 +2,11 @@
 
 Sets are H-representations: lists of linear constraints ``a·x <= b``,
 ``a·x < b``, or ``a·x = b`` with Fraction coefficients.  The feasibility
-kernel is Fourier-Motzkin elimination, run exactly; equalities are removed
-first by substitution.  Mixed strict/weak constraints are handled natively,
-which is what lets a single engine decide both open and closed semantics.
+kernel is Fourier-Motzkin elimination, run exactly on one row form: a
+primitive integer coefficient vector, a Fraction bound and a strict flag.
+An equality is the pair of opposite weak rows.  Mixed strict/weak
+constraints are handled natively, which is what lets a single engine decide
+both open and closed semantics.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -25,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .codes import NeuralCode, Word, full_word, members
@@ -168,7 +170,7 @@ class _Infeasible(Exception):
     pass
 
 
-# normalized inequality row: (primitive int coefficient tuple, bound, strict)
+# inequality row ``key · x <= bound`` (``<`` if strict), key a primitive int vector
 _Row = tuple[tuple[int, ...], Fraction, bool]
 
 
@@ -177,64 +179,60 @@ class _IneqSystem:
 
     Rows are keyed by their primitive integer coefficient vector; for equal
     directions only the tightest bound is kept.  Opposite directions are
-    checked for an empty feasibility window as rows are added.
+    checked for an empty feasibility window as rows are added, which is what
+    decides an equality, stored as two opposite weak rows.
     """
 
     def __init__(self) -> None:
         self.rows: dict[tuple[int, ...], tuple[Fraction, bool]] = {}
 
-    def add(self, coeffs: Sequence[Fraction], bound: Fraction, strict: bool) -> None:
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
+    def add(self, coeffs: Sequence[int], bound: Fraction, strict: bool) -> None:
+        g = gcd(*coeffs)
         if g == 0:
             if bound < 0 or (bound == 0 and strict):
                 raise _Infeasible
             return
-        key = tuple(v // g for v in ints)
-        b = bound * den / g
+        if g == 1:
+            key = tuple(coeffs)
+        else:
+            key = tuple([v // g for v in coeffs])
+            bound = bound / g
         old = self.rows.get(key)
-        if old is None or b < old[0] or (b == old[0] and strict and not old[1]):
-            self.rows[key] = (b, strict)
-            b_eff, s_eff = b, strict
+        if old is None or bound < old[0] or (bound == old[0] and strict and not old[1]):
+            self.rows[key] = (bound, strict)
+            b_eff, s_eff = bound, strict
         else:
             b_eff, s_eff = old
-        opp = self.rows.get(tuple(-v for v in key))
+        opp = self.rows.get(tuple([-v for v in key]))
         if opp is not None:
-            # key·x <= b_eff and key·x >= -opp_bound
-            if -opp[0] > b_eff or (-opp[0] == b_eff and (s_eff or opp[1])):
+            # key·x <= b_eff and key·x >= lo
+            lo = -opp[0]
+            if lo > b_eff or (lo == b_eff and (s_eff or opp[1])):
                 raise _Infeasible
 
-    def items(self) -> list[_Row]:
-        return [(k, b, s) for k, (b, s) in self.rows.items()]
 
-
-def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Row], list[_Row], _IneqSystem]:
+def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Row], _IneqSystem]:
+    """Remove x_k: the rows that bound it, and the system they imply without it."""
     lowers: list[_Row] = []
     uppers: list[_Row] = []
-    keep: list[_Row] = []
-    for key, b, s in system.items():
-        ck = key[k]
-        if ck < 0:
+    new = _IneqSystem()
+    for key, (b, s) in system.rows.items():
+        if key[k] < 0:
             lowers.append((key, b, s))
-        elif ck > 0:
+        elif key[k] > 0:
             uppers.append((key, b, s))
         else:
-            keep.append((key, b, s))
-    new = _IneqSystem()
-    for key, b, s in keep:
-        new.add([Fraction(v) for v in key], b, s)
+            new.rows[key] = (b, s)
     for lkey, lb, ls in lowers:
         la = -lkey[k]
         for ukey, ub, us in uppers:
             ua = ukey[k]
-            combined = [Fraction(ua * lv + la * uv) for lv, uv in zip(lkey, ukey)]
-            new.add(combined, ua * lb + la * ub, ls or us)
-    return lowers, uppers, new
+            combined = [ua * lv + la * uv for lv, uv in zip(lkey, ukey)]
+            # an opposite pair cancels to 0 <= ua * (lb + ub), which add's
+            # window check already decided
+            if any(combined):
+                new.add(combined, lb * ua + ub * la, ls or us)
+    return lowers + uppers, new
 
 
 def feasible_point(
@@ -242,78 +240,55 @@ def feasible_point(
 ) -> Point | None:
     """Decide a mixed strict/weak/equality system exactly; return a witness.
 
-    Equalities are eliminated by substitution, then Fourier-Motzkin removes
-    the remaining variables; a satisfying rational point is reconstructed by
-    back-substitution through the recorded bounds.  Returns None when the
-    system is infeasible.
+    Every row is scaled once to integer coefficients; an equality enters as
+    two opposite weak rows.  Fourier-Motzkin removes the variables one by
+    one, and a satisfying rational point is reconstructed by
+    back-substitution through the rows that bounded each removed variable.
+    Returns None when the system is infeasible.
     """
-    ineqs: list[list] = []  # [coeffs list, bound, strict]
-    eqs: list[list] = []  # [coeffs list, bound]
+    constraints = list(constraints)
     for c in constraints:
         if len(c.coeffs) != dim:
             raise ValueError(f"constraint has {len(c.coeffs)} coefficients, expected {dim}")
-        if c.rel is Rel.EQ:
-            eqs.append([list(c.coeffs), c.bound])
-        else:
-            ineqs.append([list(c.coeffs), c.bound, c.rel is Rel.LT])
-
-    # substitute equalities away: x_p = e0 + sum_j ej[j] * x_j
-    subs: list[tuple[int, Fraction, dict[int, Fraction]]] = []
-    while eqs:
-        coeffs, bound = eqs.pop(0)
-        p = next((i for i, a in enumerate(coeffs) if a != 0), None)
-        if p is None:
-            if bound != 0:
-                return None
-            continue
-        ap = coeffs[p]
-        e0 = bound / ap
-        ej = {j: -a / ap for j, a in enumerate(coeffs) if j != p and a != 0}
-        for row in eqs:
-            _apply_substitution(row, p, e0, ej)
-        for row in ineqs:
-            _apply_substitution(row, p, e0, ej)
-        subs.append((p, e0, ej))
-
     system = _IneqSystem()
+    steps: list[tuple[int, list[_Row]]] = []
     try:
-        for coeffs, bound, strict in ineqs:
-            system.add(coeffs, bound, strict)
-        steps: list[tuple[int, list[_Row], list[_Row]]] = []
-        while True:
-            active = sorted({i for key in system.rows for i, v in enumerate(key) if v})
-            if not active:
-                break
-            k = min(
-                active,
-                key=lambda i: (
-                    sum(1 for key in system.rows if key[i] < 0)
-                    * sum(1 for key in system.rows if key[i] > 0),
-                    i,
-                ),
-            )
-            lowers, uppers, system = _eliminate(system, k)
-            steps.append((k, lowers, uppers))
+        for c in constraints:
+            den = lcm(*(a.denominator for a in c.coeffs))
+            ints = [a.numerator * (den // a.denominator) for a in c.coeffs]
+            bound = c.bound * den if den != 1 else c.bound
+            system.add(ints, bound, c.rel is Rel.LT)
+            if c.rel is Rel.EQ:
+                system.add([-v for v in ints], -bound, False)
+        while system.rows:
+            # eliminate the variable with the fewest lower × upper row pairs
+            lows = [0] * dim
+            ups = [0] * dim
+            for key in system.rows:
+                for i, v in enumerate(key):
+                    if v < 0:
+                        lows[i] += 1
+                    elif v > 0:
+                        ups[i] += 1
+            k = min((i for i in range(dim) if lows[i] or ups[i]), key=lambda i: lows[i] * ups[i])
+            bounding, system = _eliminate(system, k)
+            steps.append((k, bounding))
     except _Infeasible:
         return None
 
     values = [Fraction(0)] * dim
-    for k, lowers, uppers in reversed(steps):
+    for k, bounding in reversed(steps):
         lo: tuple[Fraction, bool] | None = None
-        for key, b, s in lowers:
-            rest = sum((Fraction(v) * values[i] for i, v in enumerate(key) if i != k), Fraction(0))
-            cand = (b - rest) / key[k]  # key[k] < 0 flips the inequality
-            if lo is None or cand > lo[0] or (cand == lo[0] and s):
-                lo = (cand, s)
         hi: tuple[Fraction, bool] | None = None
-        for key, b, s in uppers:
-            rest = sum((Fraction(v) * values[i] for i, v in enumerate(key) if i != k), Fraction(0))
-            cand = (b - rest) / key[k]
-            if hi is None or cand < hi[0] or (cand == hi[0] and s):
+        for key, b, s in bounding:
+            rest = sum(values[i] * v for i, v in enumerate(key) if v and i != k)
+            cand = (b - rest) / key[k]  # key[k] < 0 flips the inequality
+            if key[k] < 0:
+                if lo is None or cand > lo[0] or (cand == lo[0] and s):
+                    lo = (cand, s)
+            elif hi is None or cand < hi[0] or (cand == hi[0] and s):
                 hi = (cand, s)
-        if lo is None and hi is None:
-            values[k] = Fraction(0)
-        elif lo is None:
+        if lo is None:
             assert hi is not None
             values[k] = hi[0] - 1 if hi[1] else hi[0]
         elif hi is None:
@@ -322,22 +297,7 @@ def feasible_point(
             values[k] = lo[0]
         else:
             values[k] = (lo[0] + hi[0]) / 2
-    for p, e0, ej in reversed(subs):
-        values[p] = e0 + sum((c * values[j] for j, c in ej.items()), Fraction(0))
     return tuple(values)
-
-
-def _apply_substitution(
-    row: list, p: int, e0: Fraction, ej: dict[int, Fraction]
-) -> None:
-    coeffs = row[0]
-    ap = coeffs[p]
-    if ap == 0:
-        return
-    for j, c in ej.items():
-        coeffs[j] += ap * c
-    coeffs[p] = Fraction(0)
-    row[1] = row[1] - ap * e0
 
 
 def point_satisfies(constraints: Iterable[LinearConstraint], point: Sequence[Fraction]) -> bool:

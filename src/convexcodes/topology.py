@@ -28,7 +28,6 @@ from .codes import (
     NeuralCode,
     SimplicialComplex,
     Word,
-    complex_from_faces,
     members,
     missing_intersections,
     simplicial_complex,
@@ -81,8 +80,10 @@ def link(cpx: SimplicialComplex, sigma: Word) -> SimplicialComplex:
     """The link of sigma: faces tau disjoint from sigma with sigma ∪ tau in cpx."""
     if not cpx.has_face(sigma):
         raise FaceNotFoundError(f"face {word_label(sigma)} is not in the complex")
-    candidates = [f & ~sigma for f in cpx.facets if sigma & f == sigma]
-    return complex_from_faces(cpx.n, candidates)
+    # distinct facets f, g ⊇ sigma with f∖sigma ⊆ g∖sigma would give f ⊆ g,
+    # so these faces are already inclusion-maximal
+    facets = frozenset(f & ~sigma for f in cpx.facets if sigma & f == sigma)
+    return SimplicialComplex(cpx.n, facets)
 
 
 # --- exact reduced homology over the rationals ---------------------------------

@@ -62,6 +62,16 @@ def test_code_of_rejects_open_equality(tmp_path, capsys):
     assert "equality row not allowed under open topology" in err
 
 
+def test_code_of_rejects_exponent_fast(tmp_path, capsys):
+    bad = tmp_path / "bad.arr"
+    bad.write_text("dimension: 1\ntopology: closed\nset 1\n1e10000000 <= 1\n")
+    start = time.perf_counter()
+    status, out, err = run(capsys, "code-of", str(bad))
+    assert time.perf_counter() - start < 1
+    assert status == 1 and not out
+    assert "line 4: bad number '1e10000000'" in err
+
+
 def test_verify_ok_and_mismatch(capsys):
     status, out, _ = run(
         capsys, "verify", str(CORPUS / "fan6.arr"), str(CORPUS / "fan6.code")

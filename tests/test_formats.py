@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,13 @@ def test_parse_code_errors_carry_line_numbers():
     assert err.value.line == 3
 
 
+def test_parse_code_rejects_neuron_count_above_cap():
+    with pytest.raises(ParseError) as err:
+        parse_code("# header next\nneurons: 65\n1\n")
+    assert err.value.line == 2 and "64" in str(err.value)
+    assert parse_code("neurons: 64\n64\n").n == 64
+
+
 def test_parse_code_comments_and_duplicates():
     text = "# corpus file\nneurons: 2\n1 2\n1 2  # repeated below\n2 1\n"
     code = parse_code(text)
@@ -74,6 +82,22 @@ def test_parse_arrangement_rationals_are_canonicalized():
     c = arr.sets[0].constraints[0]
     assert c.coeffs == (Q(1, 2),) and c.bound == Q(-3, 2)
     assert serialize_arrangement(arr) == "dimension: 1\ntopology: closed\nset 1\n1/2 <= -3/2\n"
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1E5", "0.5", ".5", "1_000", "1/2e3", "inf", "1/"])
+def test_parse_arrangement_rejects_numbers_outside_grammar(token):
+    text = f"dimension: 1\ntopology: closed\nset 1\n1 <= 0\n{token} <= 1\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_arrangement(text)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.line == 5 and repr(token) in str(err.value)
+
+
+def test_parse_arrangement_accepts_signed_integers_and_fractions():
+    arr = parse_arrangement("dimension: 2\ntopology: closed\nset 1\n+3 -1/2 <= -0\n")
+    c = arr.sets[0].constraints[0]
+    assert c.coeffs == (Q(3), Q(-1, 2)) and c.bound == 0
 
 
 def test_parse_arrangement_rejects_open_equality():

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexcodes import (
     Arrangement,
@@ -67,6 +70,184 @@ def test_feasible_point_with_equalities():
 
     assert feasible_point([constraint([0, 0], "=", 1)], 2) is None
     assert feasible_point([constraint([0, 0], "=", 0)], 2) is not None
+
+
+@pytest.mark.parametrize(
+    "rows, dim, expected",
+    [
+        ([([1], "=", 1), ([2], "=", 2), ([-1], "=", -1)], 1, (Q(1),)),
+        ([([1], "=", 1), ([Q(1, 2)], "=", Q(1, 2))], 1, (Q(1),)),
+        ([([1], "=", 1), ([2], "=", 4)], 1, None),
+        ([([1], "=", 1), ([1], "<", 1)], 1, None),
+        ([([1], "=", 1), ([-1], "<", -1)], 1, None),
+        ([([0], "=", 0)], 1, (Q(0),)),
+        ([([0, 0], "=", 0), ([1, 0], "=", 3), ([0, 1], "<=", -1)], 2, (Q(3), Q(-1))),
+        ([([0], "=", 1)], 1, None),
+        ([([1, 1], "=", 2), ([1, -1], "=", 0)], 2, (Q(1), Q(1))),
+        ([([1, 1], "=", 2), ([1, -1], "=", 0), ([1, 0], "<", 1)], 2, None),
+    ],
+    ids=[
+        "repeated-scaled-opposite",
+        "fractional-scale",
+        "parallel",
+        "equal-and-strict-below",
+        "equal-and-strict-above",
+        "zero-equals-zero",
+        "zero-equals-zero-ignored",
+        "zero-equals-one",
+        "two-lines-meet",
+        "two-lines-meet-outside",
+    ],
+)
+def test_feasible_point_equality_cases(rows, dim, expected):
+    system = [constraint(*row) for row in rows]
+    assert feasible_point(system, dim) == expected
+
+
+# --- oracle: equalities removed by substitution, then FM on Fraction rows ------------
+
+
+class _OracleInfeasible(Exception):
+    pass
+
+
+class _OracleIneqSystem:
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, coeffs, bound, strict):
+        den = 1
+        for c in coeffs:
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = [int(c * den) for c in coeffs]
+        g = 0
+        for v in ints:
+            g = gcd(g, abs(v))
+        if g == 0:
+            if bound < 0 or (bound == 0 and strict):
+                raise _OracleInfeasible
+            return
+        key = tuple(v // g for v in ints)
+        b = bound * den / g
+        old = self.rows.get(key)
+        if old is None or b < old[0] or (b == old[0] and strict and not old[1]):
+            self.rows[key] = (b, strict)
+            b_eff, s_eff = b, strict
+        else:
+            b_eff, s_eff = old
+        opp = self.rows.get(tuple(-v for v in key))
+        if opp is not None:
+            if -opp[0] > b_eff or (-opp[0] == b_eff and (s_eff or opp[1])):
+                raise _OracleInfeasible
+
+
+def _oracle_eliminate(system, k):
+    lowers, uppers, keep = [], [], []
+    for key, (b, s) in system.rows.items():
+        (lowers if key[k] < 0 else uppers if key[k] > 0 else keep).append((key, b, s))
+    new = _OracleIneqSystem()
+    for key, b, s in keep:
+        new.add([Q(v) for v in key], b, s)
+    for lkey, lb, ls in lowers:
+        la = -lkey[k]
+        for ukey, ub, us in uppers:
+            ua = ukey[k]
+            combined = [Q(ua * lv + la * uv) for lv, uv in zip(lkey, ukey)]
+            new.add(combined, ua * lb + la * ub, ls or us)
+    return lowers, uppers, new
+
+
+def _oracle_substitute(row, p, e0, ej):
+    coeffs = row[0]
+    ap = coeffs[p]
+    if ap == 0:
+        return
+    for j, c in ej.items():
+        coeffs[j] += ap * c
+    coeffs[p] = Q(0)
+    row[1] = row[1] - ap * e0
+
+
+def oracle_feasible_point(constraints, dim):
+    ineqs, eqs = [], []
+    for c in constraints:
+        if c.rel is Rel.EQ:
+            eqs.append([list(c.coeffs), c.bound])
+        else:
+            ineqs.append([list(c.coeffs), c.bound, c.rel is Rel.LT])
+    subs = []
+    while eqs:
+        coeffs, bound = eqs.pop(0)
+        p = next((i for i, a in enumerate(coeffs) if a != 0), None)
+        if p is None:
+            if bound != 0:
+                return None
+            continue
+        e0 = bound / coeffs[p]
+        ej = {j: -a / coeffs[p] for j, a in enumerate(coeffs) if j != p and a != 0}
+        for row in eqs + ineqs:
+            _oracle_substitute(row, p, e0, ej)
+        subs.append((p, e0, ej))
+    system = _OracleIneqSystem()
+    steps = []
+    try:
+        for coeffs, bound, strict in ineqs:
+            system.add(coeffs, bound, strict)
+        while system.rows:
+            active = sorted({i for key in system.rows for i, v in enumerate(key) if v})
+            k = min(
+                active,
+                key=lambda i: (
+                    sum(1 for key in system.rows if key[i] < 0)
+                    * sum(1 for key in system.rows if key[i] > 0),
+                    i,
+                ),
+            )
+            lowers, uppers, system = _oracle_eliminate(system, k)
+            steps.append((k, lowers, uppers))
+    except _OracleInfeasible:
+        return None
+    values = [Q(0)] * dim
+    for k, lowers, uppers in reversed(steps):
+        lo = hi = None
+        for key, b, s in lowers + uppers:
+            rest = sum((v * values[i] for i, v in enumerate(key) if i != k), Q(0))
+            cand = (b - rest) / key[k]
+            if key[k] < 0 and (lo is None or cand > lo[0] or (cand == lo[0] and s)):
+                lo = (cand, s)
+            if key[k] > 0 and (hi is None or cand < hi[0] or (cand == hi[0] and s)):
+                hi = (cand, s)
+        if lo is None:
+            values[k] = hi[0] - 1 if hi[1] else hi[0]
+        elif hi is None:
+            values[k] = lo[0] + 1 if lo[1] else lo[0]
+        else:
+            values[k] = (lo[0] + hi[0]) / 2
+    for p, e0, ej in reversed(subs):
+        values[p] = e0 + sum((c * values[j] for j, c in ej.items()), Q(0))
+    return tuple(values)
+
+
+@st.composite
+def mixed_systems(draw):
+    dim = draw(st.integers(1, 3))
+    scalar = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeffs = [draw(scalar) for _ in range(dim)]
+        rows.append(constraint(coeffs, draw(st.sampled_from(["<=", "<", "="])), draw(scalar)))
+    return rows, dim
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_systems())
+def test_feasible_point_matches_substitution_oracle(system):
+    rows, dim = system
+    got = feasible_point(rows, dim)
+    want = oracle_feasible_point(rows, dim)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert point_satisfies(rows, got) and point_satisfies(rows, want)
 
 
 def test_feasible_point_witnesses_satisfy_system():
