@@ -23,7 +23,6 @@ from .codes import (
     neural_code,
     permute,
     restrict,
-    restriction_map,
     simplicial_complex,
     word,
     word_key,
@@ -36,17 +35,16 @@ from .geometry import (
     Rel,
     Topology,
     TopologyError,
-    atom_is_nonempty,
     code_of_arrangement,
     constraint,
     feasible_point,
     find_atom_point,
+    integer_rows,
     interpret_closure,
     line_meets,
     membership_pattern,
     point_satisfies,
     polyhedron,
-    set_is_empty,
 )
 from .topology import (
     Contractibility,

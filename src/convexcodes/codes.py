@@ -242,11 +242,6 @@ def missing_intersections(code: NeuralCode) -> list[Word]:
     )
 
 
-def restriction_map(tau: Word) -> dict[int, int]:
-    """Reindexing of the surviving neurons of tau to 1..|tau|, order-preserving."""
-    return {old: new for new, old in enumerate(members(tau), start=1)}
-
-
 def restrict(code: NeuralCode, tau: Word | Iterable[int]) -> NeuralCode:
     """Restrict the code to the neurons of tau and reindex them to 1..|tau|."""
     t = tau if isinstance(tau, int) else word(tau)
@@ -254,7 +249,7 @@ def restrict(code: NeuralCode, tau: Word | Iterable[int]) -> NeuralCode:
         raise ValueError(f"restriction set {word_label(t)} is not a subset of [{code.n}]")
     if t == 0:
         raise ValueError("cannot restrict to an empty neuron set")
-    remap = restriction_map(t)
+    remap = {old: new for new, old in enumerate(members(t), start=1)}
     new_words = frozenset(
         word(remap[i] for i in members(w & t)) for w in code.words
     )

@@ -25,6 +25,9 @@ and the bound; numbers are integers or fractions ``p/q``, optionally signed
 open topology.  Serialization never reorders constraints, so reports may
 reference row positions.
 
+The neuron count, the dimension, set indices and neuron indices are
+unsigned ASCII decimal integers, ``[0-9]+``.
+
 Both serializers are deterministic (equal values give byte-identical output,
 UTF-8, LF line endings), and parse∘serialize is the identity on canonical
 form.
@@ -63,6 +66,16 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _parse_count(token: str, lineno: int, what: str) -> int:
+    # only ``[0-9]+``: int() alone also takes signs, underscores and non-ASCII digits
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(lineno, f"{what} {token!r} is not an unsigned decimal integer")
+
+
 def parse_code(text: str) -> NeuralCode:
     """Parse a code file; raises ParseError with a line number on bad input."""
     lines = _significant_lines(text)
@@ -71,10 +84,7 @@ def parse_code(text: str) -> NeuralCode:
     lineno, header = lines[0]
     if not header.startswith("neurons:"):
         raise ParseError(lineno, "expected 'neurons: <n>' header")
-    try:
-        n = int(header.removeprefix("neurons:").strip())
-    except ValueError:
-        raise ParseError(lineno, "neuron count is not an integer") from None
+    n = _parse_count(header.removeprefix("neurons:").strip(), lineno, "neuron count")
     if n < 1:
         raise ParseError(lineno, "neuron count must be positive")
     if n > MAX_NEURONS:
@@ -86,10 +96,7 @@ def parse_code(text: str) -> NeuralCode:
             continue
         indices = []
         for token in line.split():
-            try:
-                i = int(token)
-            except ValueError:
-                raise ParseError(lineno, f"bad neuron index {token!r}") from None
+            i = _parse_count(token, lineno, "neuron index")
             if not 1 <= i <= n:
                 raise ParseError(lineno, f"neuron index {i} outside 1..{n}")
             indices.append(i)
@@ -126,10 +133,7 @@ def parse_arrangement(text: str) -> Arrangement:
     lineno, dim_line = lines[0]
     if not dim_line.startswith("dimension:"):
         raise ParseError(lineno, "expected 'dimension: <d>' header")
-    try:
-        dim = int(dim_line.removeprefix("dimension:").strip())
-    except ValueError:
-        raise ParseError(lineno, "dimension is not an integer") from None
+    dim = _parse_count(dim_line.removeprefix("dimension:").strip(), lineno, "dimension")
     if dim < 1:
         raise ParseError(lineno, "dimension must be positive")
     lineno, top_line = lines[1]
@@ -149,10 +153,7 @@ def parse_arrangement(text: str) -> Arrangement:
 
     for lineno, line in lines[2:]:
         if line.startswith("set"):
-            try:
-                index = int(line.removeprefix("set").strip())
-            except ValueError:
-                raise ParseError(lineno, "expected 'set <i>'") from None
+            index = _parse_count(line.removeprefix("set").strip(), lineno, "set index")
             expected = len(sets) + (2 if current is not None else 1)
             if index != expected:
                 raise ParseError(lineno, f"expected 'set {expected}', got 'set {index}'")

@@ -1,12 +1,14 @@
 """Exact rational polyhedral geometry for arrangements of convex sets.
 
 Sets are H-representations: lists of linear constraints ``a·x <= b``,
-``a·x < b``, or ``a·x = b`` with Fraction coefficients.  The feasibility
-kernel is Fourier-Motzkin elimination, run exactly on one row form: a
-primitive integer coefficient vector, a Fraction bound and a strict flag.
-An equality is the pair of opposite weak rows.  Mixed strict/weak
-constraints are handled natively, which is what lets a single engine decide
-both open and closed semantics.
+``a·x < b``, or ``a·x = b`` with Fraction coefficients, as in the files and
+the API.  The engine computes on one row form, made once per set by
+``integer_rows``: an integer coefficient vector, a Fraction bound and a
+strict flag.  An equality is two opposite weak rows; a row's negation is the
+opposite row with the strictness flipped.  Feasibility is Fourier-Motzkin
+elimination on these rows, exact with mixed strict/weak rows, which is what
+lets a single engine decide both open and closed semantics.  Membership
+evaluates rows in integers at a witness over one common denominator.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -17,8 +19,8 @@ lies in no set outside sigma: every codeword is one.  A face whose region
 lies inside a skipped set of smaller index is dropped with everything the
 search would add to it, so k sets through one point cost as many faces as
 distinct intersection regions, not 2^k.  The atom of each remaining closed
-face is decided by a depth-first search over one negated constraint per
-avoided set, with incremental infeasibility pruning.
+face is decided by a depth-first search over one negated row per avoided
+set, with incremental infeasibility pruning.
 """
 
 from __future__ import annotations
@@ -28,11 +30,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
+from operator import eq, le, lt, mul
 from typing import Iterable, Sequence
 
 from .codes import NeuralCode, Word, full_word, members
 
 Point = tuple[Fraction, ...]
+# ``key · x <= bound`` (``<`` if strict), key an integer vector
+Row = tuple[tuple[int, ...], Fraction, bool]
+# a point as integer numerators over one common denominator
+_IntPoint = tuple[list[int], int]
 
 
 class Rel(Enum):
@@ -61,17 +68,6 @@ class LinearConstraint:
     coeffs: tuple[Fraction, ...]
     rel: Rel
     bound: Fraction
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.coeffs, point)), Fraction(0))
-
-    def holds_at(self, point: Sequence[Fraction]) -> bool:
-        v = self.evaluate(point)
-        if self.rel is Rel.LE:
-            return v <= self.bound
-        if self.rel is Rel.LT:
-            return v < self.bound
-        return v == self.bound
 
 
 def constraint(coeffs: Iterable, rel: Rel | str, bound) -> LinearConstraint:
@@ -150,17 +146,40 @@ def interpreted_constraints(
     return tuple(out)
 
 
-def negation_branches(c: LinearConstraint) -> tuple[LinearConstraint, ...]:
-    """Constraints covering the complement of c (two branches for equality)."""
-    neg = tuple(-a for a in c.coeffs)
-    if c.rel is Rel.LE:
-        return (LinearConstraint(neg, Rel.LT, -c.bound),)
-    if c.rel is Rel.LT:
-        return (LinearConstraint(neg, Rel.LE, -c.bound),)
-    return (
-        LinearConstraint(c.coeffs, Rel.LT, c.bound),
-        LinearConstraint(neg, Rel.LT, -c.bound),
-    )
+def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
+    """The rows of the constraints, each scaled by the lcm of its coefficient denominators.
+
+    An equality ``a·x = b`` becomes ``-a·x <= -b`` then ``a·x <= b``, so
+    that the negations of its rows read ``a·x < b`` then ``a·x > b``.
+    """
+    rows: list[Row] = []
+    for c in constraints:
+        den = lcm(*(a.denominator for a in c.coeffs))
+        key = tuple([a.numerator * (den // a.denominator) for a in c.coeffs])
+        bound = _frac(c.bound) * den
+        if c.rel is Rel.EQ:
+            rows.append((tuple([-v for v in key]), -bound, False))
+        rows.append((key, bound, c.rel is Rel.LT))
+    return rows
+
+
+def _negate(row: Row) -> Row:
+    """The row covering the complement of row."""
+    key, bound, strict = row
+    return tuple([-v for v in key]), -bound, not strict
+
+
+def _integer_point(point: Point) -> _IntPoint:
+    den = lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
+
+
+def _holds(row: Row, point: _IntPoint) -> bool:
+    key, bound, strict = row
+    nums, den = point
+    lhs = sum(map(mul, key, nums)) * bound.denominator
+    rhs = bound.numerator * den
+    return lhs < rhs if strict else lhs <= rhs
 
 
 # --- Fourier-Motzkin feasibility -------------------------------------------------
@@ -168,10 +187,6 @@ def negation_branches(c: LinearConstraint) -> tuple[LinearConstraint, ...]:
 
 class _Infeasible(Exception):
     pass
-
-
-# inequality row ``key · x <= bound`` (``<`` if strict), key a primitive int vector
-_Row = tuple[tuple[int, ...], Fraction, bool]
 
 
 class _IneqSystem:
@@ -211,10 +226,10 @@ class _IneqSystem:
                 raise _Infeasible
 
 
-def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Row], _IneqSystem]:
+def _eliminate(system: _IneqSystem, k: int) -> tuple[list[Row], _IneqSystem]:
     """Remove x_k: the rows that bound it, and the system they imply without it."""
-    lowers: list[_Row] = []
-    uppers: list[_Row] = []
+    lowers: list[Row] = []
+    uppers: list[Row] = []
     new = _IneqSystem()
     for key, (b, s) in system.rows.items():
         if key[k] < 0:
@@ -235,31 +250,22 @@ def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Row], _IneqSystem]:
     return lowers + uppers, new
 
 
-def feasible_point(
-    constraints: Iterable[LinearConstraint], dim: int
-) -> Point | None:
-    """Decide a mixed strict/weak/equality system exactly; return a witness.
+def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
+    """Decide a system of mixed strict/weak integer rows exactly; return a witness.
 
-    Every row is scaled once to integer coefficients; an equality enters as
-    two opposite weak rows.  Fourier-Motzkin removes the variables one by
-    one, and a satisfying rational point is reconstructed by
-    back-substitution through the rows that bounded each removed variable.
-    Returns None when the system is infeasible.
+    The rows come from ``integer_rows``.  Fourier-Motzkin removes the
+    variables one by one, and a satisfying rational point is reconstructed
+    by back-substitution through the rows that bounded each removed
+    variable.  Returns None when the system is infeasible.
     """
-    constraints = list(constraints)
-    for c in constraints:
-        if len(c.coeffs) != dim:
-            raise ValueError(f"constraint has {len(c.coeffs)} coefficients, expected {dim}")
+    for key, _, _ in rows:
+        if len(key) != dim:
+            raise ValueError(f"row has {len(key)} coefficients, expected {dim}")
     system = _IneqSystem()
-    steps: list[tuple[int, list[_Row]]] = []
+    steps: list[tuple[int, list[Row]]] = []
     try:
-        for c in constraints:
-            den = lcm(*(a.denominator for a in c.coeffs))
-            ints = [a.numerator * (den // a.denominator) for a in c.coeffs]
-            bound = c.bound * den if den != 1 else c.bound
-            system.add(ints, bound, c.rel is Rel.LT)
-            if c.rel is Rel.EQ:
-                system.add([-v for v in ints], -bound, False)
+        for key, bound, strict in rows:
+            system.add(key, bound, strict)
         while system.rows:
             # eliminate the variable with the fewest lower × upper row pairs
             lows = [0] * dim
@@ -300,13 +306,18 @@ def feasible_point(
     return tuple(values)
 
 
+_COMPARE = {Rel.LE: le, Rel.LT: lt, Rel.EQ: eq}
+
+
 def point_satisfies(constraints: Iterable[LinearConstraint], point: Sequence[Fraction]) -> bool:
-    return all(c.holds_at(point) for c in constraints)
+    """Whether every constraint holds at point, evaluated in Fractions.
 
-
-def set_is_empty(poly: Polyhedron, topology: Topology) -> bool:
-    """Whether the topology-interpreted point set is empty."""
-    return feasible_point(interpreted_constraints(poly, topology), poly.dim) is None
+    A check of witnesses independent of the integer rows the engine uses.
+    """
+    return all(
+        _COMPARE[c.rel](sum(map(mul, c.coeffs, point), Fraction(0)), c.bound)
+        for c in constraints
+    )
 
 
 def interpret_closure(arr: Arrangement) -> Arrangement:
@@ -330,97 +341,87 @@ def interpret_closure(arr: Arrangement) -> Arrangement:
     return Arrangement(arr.dim, Topology.CLOSED, new_sets)
 
 
-def _pattern(interp: Sequence[tuple[LinearConstraint, ...]], point: Point) -> Word:
-    """The codeword of the sets, given by their interpreted constraints, containing point."""
+def _set_rows(arr: Arrangement) -> list[list[Row]]:
+    """The rows of each set, under the arrangement topology."""
+    return [integer_rows(interpreted_constraints(p, arr.topology)) for p in arr.sets]
+
+
+def _solve(rows: Sequence[Row], dim: int) -> _IntPoint | None:
+    """``feasible_point`` with the witness scaled to integers."""
+    w = feasible_point(rows, dim)
+    return None if w is None else _integer_point(w)
+
+
+def _pattern(sets: Sequence[list[Row]], point: _IntPoint) -> Word:
+    """The codeword of the sets, given by their rows, containing point."""
     w = 0
-    for i, cons in enumerate(interp):
-        if point_satisfies(cons, point):
+    for i, rows in enumerate(sets):
+        if all(_holds(r, point) for r in rows):
             w |= 1 << i
     return w
 
 
 def membership_pattern(arr: Arrangement, point: Sequence[Fraction]) -> Word:
     """The codeword of sets containing the point under the arrangement topology."""
-    interp = [interpreted_constraints(p, arr.topology) for p in arr.sets]
-    return _pattern(interp, tuple(_frac(x) for x in point))
-
-
-def _region_inside(
-    cons: list[LinearConstraint], rows: Sequence[LinearConstraint], dim: int
-) -> bool:
-    """Whether the region cut out by cons lies inside the set cut out by rows.
-
-    It does exactly when the region meets no negation branch of any row; a
-    row among cons holds throughout the region and needs no solve.
-    """
-    return all(
-        c in cons or all(feasible_point(cons + [nb], dim) is None for nb in negation_branches(c))
-        for c in rows
-    )
+    return _pattern(_set_rows(arr), _integer_point(tuple(_frac(x) for x in point)))
 
 
 def _atom_search(
     arr: Arrangement,
-    interp: Sequence[tuple[LinearConstraint, ...]],
+    sets: Sequence[list[Row]],
     sigma: Word,
-    base_constraints: list[LinearConstraint],
-    base_witness: Point,
+    base_rows: list[Row],
+    base_witness: _IntPoint,
     base_pattern: Word,
-) -> Point | None:
+) -> _IntPoint | None:
     """Find a point of U_sigma avoiding every other set, or prove there is none.
 
     base_pattern is the membership pattern of base_witness.  One negated
-    constraint is chosen per avoided set, depth-first; a branch is pruned as
-    soon as its partial system is infeasible.  Witnesses are reused: a branch
-    whose new constraint already holds at the current witness needs no new
-    solve.
+    row is chosen per avoided set, depth-first; a branch is pruned as soon
+    as its partial system is infeasible.  Witnesses are reused: a branch
+    whose new row already holds at the current witness needs no new solve.
     """
     if base_pattern == sigma:
         return base_witness
     outside = [i for i in range(1, arr.n + 1) if not sigma & (1 << (i - 1))]
     # sets already disjoint from the base region need no explicit negation;
     # a set holding the witness plainly meets it
-    levels: list[list[LinearConstraint]] = []
+    levels: list[list[Row]] = []
     for j in outside:
         if not base_pattern & (1 << (j - 1)) and (
-            feasible_point(base_constraints + list(interp[j - 1]), arr.dim) is None
+            feasible_point(base_rows + sets[j - 1], arr.dim) is None
         ):
             continue
-        branches = [nb for c in interp[j - 1] for nb in negation_branches(c)]
-        levels.append(branches)
+        levels.append([_negate(r) for r in sets[j - 1]])
 
-    def search(level: int, cons: list[LinearConstraint], witness: Point) -> Point | None:
+    def search(level: int, rows: list[Row], witness: _IntPoint) -> _IntPoint | None:
         if level == len(levels):
             return witness
         for nb in levels[level]:
-            if nb.holds_at(witness):
-                found = search(level + 1, cons + [nb], witness)
+            if _holds(nb, witness):
+                found = search(level + 1, rows + [nb], witness)
             else:
-                w2 = feasible_point(cons + [nb], arr.dim)
-                found = search(level + 1, cons + [nb], w2) if w2 is not None else None
+                w2 = _solve(rows + [nb], arr.dim)
+                found = search(level + 1, rows + [nb], w2) if w2 is not None else None
             if found is not None:
                 return found
         return None
 
-    return search(0, base_constraints, base_witness)
+    return search(0, base_rows, base_witness)
 
 
 def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
     """A rational point whose membership pattern is exactly sigma, or None."""
     if sigma & ~full_word(arr.n):
         raise ValueError(f"pattern uses sets beyond the arrangement's {arr.n}")
-    interp = [interpreted_constraints(p, arr.topology) for p in arr.sets]
-    base: list[LinearConstraint] = []
-    for i in members(sigma):
-        base.extend(interp[i - 1])
-    w = feasible_point(base, arr.dim)
-    if w is None:
+    sets = _set_rows(arr)
+    base = [r for i in members(sigma) for r in sets[i - 1]]
+    w = _solve(base, arr.dim)
+    found = None if w is None else _atom_search(arr, sets, sigma, base, w, _pattern(sets, w))
+    if found is None:
         return None
-    return _atom_search(arr, interp, sigma, base, w, _pattern(interp, w))
-
-
-def atom_is_nonempty(arr: Arrangement, sigma: Word) -> bool:
-    return find_atom_point(arr, sigma) is not None
+    nums, den = found
+    return tuple(Fraction(v, den) for v in nums)
 
 
 def code_of_arrangement(arr: Arrangement) -> NeuralCode:
@@ -450,37 +451,40 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     """
     if arr.n > 20:
         raise ValueError(f"arrangement has {arr.n} sets; extraction is capped at 20")
-    interp = [interpreted_constraints(p, arr.topology) for p in arr.sets]
-    origin = tuple(Fraction(0) for _ in range(arr.dim))
+    sets = _set_rows(arr)
+    origin = ([0] * arr.dim, 1)
     words: set[Word] = set()
-    # (sigma, top, constraints of U_sigma, witness, sets outside sigma known
-    # to contain U_sigma)
-    queue: deque[tuple[Word, int, list[LinearConstraint], Point, Word]] = deque(
-        [(0, 0, [], origin, 0)]
-    )
+    # (sigma, top, rows of U_sigma, witness, sets outside sigma known to
+    # contain U_sigma)
+    queue: deque[tuple[Word, int, list[Row], _IntPoint, Word]] = deque([(0, 0, [], origin, 0)])
     while queue:
-        sigma, top, cons, witness, known = queue.popleft()
-        pattern = _pattern(interp, witness)
+        sigma, top, rows, witness, known = queue.popleft()
+        pattern = _pattern(sets, witness)
         # the smallest known containing set already skips sigma's atom search
         # and bounds its children, so larger sets need no test
         cover = (known & -known).bit_length() or arr.n + 1
         for j in members(pattern & ~sigma & ~known):
             if j > cover:
                 break
-            if _region_inside(cons, interp[j - 1], arr.dim):
+            # U_sigma lies inside U_j when it meets the negation of no row of
+            # U_j; a row among those of U_sigma holds throughout, with no solve
+            if all(
+                r in rows or feasible_point(rows + [_negate(r)], arr.dim) is None
+                for r in sets[j - 1]
+            ):
                 known |= 1 << (j - 1)
                 cover = j
                 break
         if cover < top:
             continue
-        if not known and _atom_search(arr, interp, sigma, cons, witness, pattern) is not None:
+        if not known and _atom_search(arr, sets, sigma, rows, witness, pattern) is not None:
             words.add(sigma)
         for j in range(top + 1, min(cover, arr.n) + 1):
             bit = 1 << (j - 1)
-            cons2 = cons + list(interp[j - 1])
-            w2 = witness if pattern & bit else feasible_point(cons2, arr.dim)
+            rows2 = rows + sets[j - 1]
+            w2 = witness if pattern & bit else _solve(rows2, arr.dim)
             if w2 is not None:
-                queue.append((sigma | bit, j, cons2, w2, known & ~bit))
+                queue.append((sigma | bit, j, rows2, w2, known & ~bit))
     return NeuralCode(arr.n, frozenset(words))
 
 
@@ -506,7 +510,7 @@ def line_meets(
         slope = sum((a * d for a, d in zip(c.coeffs, dr)), Fraction(0))
         offset = c.bound - sum((a * x for a, x in zip(c.coeffs, pt)), Fraction(0))
         one_d.append(LinearConstraint((slope,), c.rel, offset))
-    return feasible_point(one_d, 1) is not None
+    return feasible_point(integer_rows(one_d), 1) is not None
 
 
 __all__ = [
@@ -515,18 +519,18 @@ __all__ = [
     "Point",
     "Polyhedron",
     "Rel",
+    "Row",
     "Topology",
     "TopologyError",
-    "atom_is_nonempty",
     "code_of_arrangement",
     "constraint",
     "feasible_point",
     "find_atom_point",
+    "integer_rows",
     "interpret_closure",
     "interpreted_constraints",
     "line_meets",
     "membership_pattern",
     "point_satisfies",
     "polyhedron",
-    "set_is_empty",
 ]

@@ -22,7 +22,7 @@ from convexcodes import (
     Topology,
     code_of_arrangement,
     feasible_point,
-    membership_pattern,
+    integer_rows,
     neural_code,
     point_satisfies,
     polyhedron,
@@ -30,29 +30,47 @@ from convexcodes import (
 from convexcodes import geometry
 from convexcodes.codes import NeuralCode
 from convexcodes.generators import realization_an_r2, realization_cn_rn
-from convexcodes.geometry import interpreted_constraints, negation_branches
+from convexcodes.geometry import interpreted_constraints
 
 # --- oracle: every nerve face, one atom search each --------------------------------
+#
+# The oracle negates and evaluates the constraints as written, in Fractions,
+# so it does not share the engine's row form; only its feasibility calls go
+# through the integer rows.
+
+
+def oracle_negation_branches(c):
+    """Constraints covering the complement of c (two branches for equality)."""
+    neg = tuple(-a for a in c.coeffs)
+    if c.rel is Rel.LE:
+        return (LinearConstraint(neg, Rel.LT, -c.bound),)
+    if c.rel is Rel.LT:
+        return (LinearConstraint(neg, Rel.LE, -c.bound),)
+    return (
+        LinearConstraint(c.coeffs, Rel.LT, c.bound),
+        LinearConstraint(neg, Rel.LT, -c.bound),
+    )
 
 
 def oracle_atom_search(arr, interp, sigma, base_constraints, base_witness):
-    if membership_pattern(arr, base_witness) == sigma:
+    pattern = sum(1 << i for i, cons in enumerate(interp) if point_satisfies(cons, base_witness))
+    if pattern == sigma:
         return base_witness
     outside = [i for i in range(1, arr.n + 1) if not sigma & (1 << (i - 1))]
     levels = []
     for j in outside:
-        if feasible_point(base_constraints + list(interp[j - 1]), arr.dim) is None:
+        if feasible_point(integer_rows(base_constraints + list(interp[j - 1])), arr.dim) is None:
             continue
-        levels.append([nb for c in interp[j - 1] for nb in negation_branches(c)])
+        levels.append([nb for c in interp[j - 1] for nb in oracle_negation_branches(c)])
 
     def search(level, cons, witness):
         if level == len(levels):
             return witness
         for nb in levels[level]:
-            if nb.holds_at(witness):
+            if point_satisfies([nb], witness):
                 found = search(level + 1, cons + [nb], witness)
             else:
-                w2 = feasible_point(cons + [nb], arr.dim)
+                w2 = feasible_point(integer_rows(cons + [nb]), arr.dim)
                 found = search(level + 1, cons + [nb], w2) if w2 is not None else None
             if found is not None:
                 return found
@@ -75,7 +93,7 @@ def oracle_code(arr: Arrangement) -> NeuralCode:
             if point_satisfies(interp[j - 1], witness):
                 w2 = witness
             else:
-                w2 = feasible_point(cons2, arr.dim)
+                w2 = feasible_point(integer_rows(cons2), arr.dim)
             if w2 is not None:
                 queue.append((sigma | (1 << (j - 1)), j, cons2, w2))
     return NeuralCode(arr.n, frozenset(words))

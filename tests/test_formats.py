@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexcodes import Rel, Topology, neural_code, word
 from convexcodes.formats import (
@@ -94,6 +96,32 @@ def test_parse_arrangement_rejects_numbers_outside_grammar(token):
     assert err.value.line == 5 and repr(token) in str(err.value)
 
 
+# each template puts the token where the value 1 is valid, on the given line
+COUNT_FIELDS = {
+    "neurons": (parse_code, "neurons: {}\n1\n", 1),
+    "neuron-index": (parse_code, "neurons: 1\n{}\n", 2),
+    "dimension": (parse_arrangement, "dimension: {}\ntopology: closed\nset 1\n1 <= 0\n", 1),
+    "set": (parse_arrangement, "dimension: 1\ntopology: closed\nset {}\n1 <= 0\n", 3),
+}
+
+
+@pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+@pytest.mark.parametrize("token", ["0_1", "+1", "\u0661", "\uff11", "\u00b9", "1.0", "0x1", "1e0"])
+def test_counts_and_indices_are_ascii_decimal(field, token):
+    parse, template, line = COUNT_FIELDS[field]
+    assert parse(template.format("01"))
+    with pytest.raises(ParseError) as err:
+        parse(template.format(token))
+    assert err.value.line == line and repr(token) in str(err.value)
+
+
+def test_parse_code_reads_ten_as_ten_only():
+    with pytest.raises(ParseError) as err:
+        parse_code("neurons: 1_0\n1_0\n")
+    assert err.value.line == 1
+    assert parse_code("neurons: 10\n10\n") == neural_code(10, [[10]])
+
+
 def test_parse_arrangement_accepts_signed_integers_and_fractions():
     arr = parse_arrangement("dimension: 2\ntopology: closed\nset 1\n+3 -1/2 <= -0\n")
     c = arr.sets[0].constraints[0]
@@ -144,3 +172,31 @@ def test_serialize_is_deterministic():
     b = serialize_arrangement(sunflower3_realization())
     assert a == b
     assert serialize_code(sunflower3_code()) == serialize_code(sunflower3_code())
+
+
+# --- fuzzing: header-shaped text with random tokens ---------------------------------
+
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "2", "3", "-1", "1_0", "\u0663", "\uff13", "1/0", "1/2", "=", "<", "<=",
+         "-", "#", "set", "open", "closed", "9" * 5000, "9" * 40, "-" + "9" * 5000]
+    ),
+    st.text(max_size=4),
+)
+HEADER_LINES = st.sampled_from(["neurons: {}", "dimension: {}", "topology: {}", "set {}"]).flatmap(
+    lambda line: FUZZ_TOKENS.map(line.format)
+)
+BODY_LINES = st.one_of(
+    st.builds("set {}".format, FUZZ_TOKENS), st.lists(FUZZ_TOKENS, max_size=5).map(" ".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(HEADER_LINES, max_size=3), st.lists(BODY_LINES, max_size=6))
+def test_parsers_raise_only_parse_error(headers, body):
+    text = "\n".join(headers + body) + "\n"
+    for parse in (parse_code, parse_arrangement):
+        try:
+            parse(text)
+        except ParseError:
+            pass

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from convexcodes import (
     Arrangement,
+    LinearConstraint,
     Polyhedron,
     Rel,
     Topology,
     TopologyError,
-    atom_is_nonempty,
     code_of_arrangement,
     constraint,
     feasible_point,
     find_atom_point,
+    integer_rows,
     interpret_closure,
     line_meets,
     membership_pattern,
@@ -27,9 +28,9 @@ from convexcodes import (
     point_satisfies,
     polyhedron,
     restrict,
-    set_is_empty,
     word,
 )
+from convexcodes import geometry
 from convexcodes.geometry import interpreted_constraints
 from convexcodes.generators import (
     boxes6_realization,
@@ -46,16 +47,22 @@ Q = Fraction
 
 def test_feasible_point_basic():
     infeasible = [constraint([1], "<", 0), constraint([-1], "<=", 0)]
-    assert feasible_point(infeasible, 1) is None
+    assert feasible_point(integer_rows(infeasible), 1) is None
 
     open_interval = [constraint([-1], "<", 0), constraint([1], "<", 1)]
-    w = feasible_point(open_interval, 1)
+    w = feasible_point(integer_rows(open_interval), 1)
     assert w is not None and 0 < w[0] < 1
 
 
 def test_feasible_point_dimension_mismatch():
     with pytest.raises(ValueError):
-        feasible_point([constraint([1, 0], "<=", 1)], 1)
+        feasible_point(integer_rows([constraint([1, 0], "<=", 1)]), 1)
+
+
+def test_integer_bounds_stay_exact():
+    # a constraint built directly with an int bound: halving it must not give a float
+    w = feasible_point(integer_rows([LinearConstraint((2,), Rel.LE, 1)]), 1)
+    assert w == (Q(1, 2),) and isinstance(w[0], Fraction)
 
 
 def test_feasible_point_with_equalities():
@@ -64,12 +71,12 @@ def test_feasible_point_with_equalities():
         constraint([1, 1], "<=", 3),
         constraint([-1, -1], "<", 0),
     ]
-    w = feasible_point(system, 2)
+    w = feasible_point(integer_rows(system), 2)
     assert w is not None
     assert w[0] == 2 and w[0] + w[1] <= 1 + 2 and point_satisfies(system, w)
 
-    assert feasible_point([constraint([0, 0], "=", 1)], 2) is None
-    assert feasible_point([constraint([0, 0], "=", 0)], 2) is not None
+    assert feasible_point(integer_rows([constraint([0, 0], "=", 1)]), 2) is None
+    assert feasible_point(integer_rows([constraint([0, 0], "=", 0)]), 2) is not None
 
 
 @pytest.mark.parametrize(
@@ -101,7 +108,7 @@ def test_feasible_point_with_equalities():
 )
 def test_feasible_point_equality_cases(rows, dim, expected):
     system = [constraint(*row) for row in rows]
-    assert feasible_point(system, dim) == expected
+    assert feasible_point(integer_rows(system), dim) == expected
 
 
 # --- oracle: equalities removed by substitution, then FM on Fraction rows ------------
@@ -243,7 +250,7 @@ def mixed_systems(draw):
 @given(mixed_systems())
 def test_feasible_point_matches_substitution_oracle(system):
     rows, dim = system
-    got = feasible_point(rows, dim)
+    got = feasible_point(integer_rows(rows), dim)
     want = oracle_feasible_point(rows, dim)
     assert (got is None) == (want is None)
     if got is not None:
@@ -259,7 +266,7 @@ def test_feasible_point_witnesses_satisfy_system():
             coeffs = [Q(rng.randint(-3, 3)) for _ in range(dim)]
             rel = rng.choice(["<=", "<", "="])
             cons.append(constraint(coeffs, rel, Q(rng.randint(-4, 4))))
-        w = feasible_point(cons, dim)
+        w = feasible_point(integer_rows(cons), dim)
         if w is not None:
             assert point_satisfies(cons, w)
 
@@ -268,7 +275,7 @@ def test_family_intersection_example():
     # the first two prism sets in dimension 2 share the point (1/2, 1/2)
     arr = realization_cn_rn(2)
     cons = list(arr.sets[0].constraints) + list(arr.sets[1].constraints)
-    w = feasible_point(cons, 2)
+    w = feasible_point(integer_rows(cons), 2)
     assert w is not None
     assert point_satisfies(cons, (Q(1, 2), Q(1, 2)))
 
@@ -290,7 +297,7 @@ def test_feasibility_never_misses_grid_points():
             grid_hit = any(
                 point_satisfies(cons, (x, y)) for x in grid for y in grid
             )
-        w = feasible_point(cons, dim)
+        w = feasible_point(integer_rows(cons), dim)
         if grid_hit:
             assert w is not None
         if w is not None:
@@ -308,11 +315,14 @@ def unit_square():
 
 
 def test_set_is_empty():
-    assert not set_is_empty(unit_square(), Topology.CLOSED)
+    def empty(poly, topology):
+        return feasible_point(integer_rows(interpreted_constraints(poly, topology)), poly.dim) is None
+
+    assert not empty(unit_square(), Topology.CLOSED)
     segment = polyhedron(2, [((0, 1), "=", 0), ((1, 0), "<=", 1), ((-1, 0), "<=", 0)])
-    assert not set_is_empty(segment, Topology.CLOSED)
+    assert not empty(segment, Topology.CLOSED)
     with pytest.raises(TopologyError):
-        set_is_empty(segment, Topology.OPEN)
+        empty(segment, Topology.OPEN)
 
 
 def test_open_square_excludes_boundary():
@@ -351,8 +361,8 @@ def test_sunflower_atoms():
     center = find_atom_point(arr, word([1, 2, 3]))
     assert center is not None
     assert membership_pattern(arr, center) == word([1, 2, 3])
-    assert not atom_is_nonempty(arr, word([1, 2]))
-    assert atom_is_nonempty(arr, 0)
+    assert find_atom_point(arr, word([1, 2])) is None
+    assert find_atom_point(arr, 0) is not None
 
 
 def test_single_square_code():
@@ -431,6 +441,49 @@ def test_dropping_a_set_matches_restriction():
                 arr.dim, arr.topology, tuple(arr.sets[i - 1] for i in kept)
             )
             assert code_of_arrangement(smaller) == restrict(full, kept), (arr, j)
+
+
+def test_extraction_never_evaluates_fractions(monkeypatch, corpus_entries, extracted_codes):
+    def forbidden(*args):
+        raise AssertionError("point_satisfies called by the engine")
+
+    monkeypatch.setattr(geometry, "point_satisfies", forbidden)
+    for entry in corpus_entries:
+        for real in entry.realizations:
+            assert code_of_arrangement(real.arrangement) == extracted_codes[real.stem], real.stem
+
+
+# --- membership on integer rows against Fraction evaluation ---------------------------
+
+
+@st.composite
+def arrangements_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    topology = draw(st.sampled_from(list(Topology)))
+    rels = [Rel.LE] if topology is Topology.OPEN else [Rel.LE, Rel.EQ]
+    # small values over mixed denominators, so that equalities and boundaries hold often
+    scalar = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    zero = (Q(0),) * dim
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(0, 3))):  # a set with no rows is the whole space
+            coeffs = draw(st.one_of(st.just(zero), st.tuples(*[scalar] * dim)))
+            rows.append(LinearConstraint(coeffs, draw(st.sampled_from(rels)), draw(scalar)))
+        sets.append(Polyhedron(dim, tuple(rows)))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+    return Arrangement(dim, topology, tuple(sets)), points
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrangements_and_points())
+def test_membership_pattern_matches_fraction_evaluation(case):
+    arr, points = case
+    interp = [interpreted_constraints(p, arr.topology) for p in arr.sets]
+    for point in points:
+        want = sum(1 << i for i, cons in enumerate(interp) if point_satisfies(cons, point))
+        assert membership_pattern(arr, point) == want
 
 
 # --- lines ----------------------------------------------------------------------------
