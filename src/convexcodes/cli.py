@@ -22,7 +22,14 @@ from .codes import (
     word_key,
     word_label,
 )
-from .formats import ParseError, parse_arrangement, parse_code, serialize_arrangement, serialize_code
+from .formats import (
+    ParseError,
+    _decimal,
+    parse_arrangement,
+    parse_code,
+    serialize_arrangement,
+    serialize_code,
+)
 from .generators import (
     CorpusEntry,
     corpus_entry,
@@ -213,7 +220,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     code = parse_code(_read(args.code_file))
     try:
-        face = word(int(t) for t in args.face.split())
+        face = word(_decimal(t) for t in args.face.split())
     except ValueError as exc:
         raise ValueError(f"bad --face value: {exc}") from None
     cpx = simplicial_complex(code)
@@ -228,6 +235,14 @@ def cmd_link(args: argparse.Namespace) -> int:
     sys.stdout.write(f"link facets: {facets}\n")
     sys.stdout.write(f"link status: {res.describe()}\n")
     return 0
+
+
+def _count(token: str) -> int:
+    # argparse reports an ArgumentTypeError with its own message
+    try:
+        return _decimal(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -257,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write generated code/arrangement files")
     p.add_argument("family", help="an | sn | cn | a corpus entry name")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_count, default=None)
     p.add_argument("--realization", choices=["r2", "rn"], default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_gen)

@@ -66,14 +66,21 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_count(token: str, lineno: int, what: str) -> int:
+def _decimal(token: str) -> int:
     # only ``[0-9]+``: int() alone also takes signs, underscores and non-ASCII digits
     if token.isascii() and token.isdigit():
         try:
             return int(token)
         except ValueError:  # more digits than int() converts
             pass
-    raise ParseError(lineno, f"{what} {token!r} is not an unsigned decimal integer")
+    raise ValueError(f"{token!r} is not an unsigned decimal integer")
+
+
+def _parse_count(token: str, lineno: int, what: str) -> int:
+    try:
+        return _decimal(token)
+    except ValueError as exc:
+        raise ParseError(lineno, f"{what} {exc}") from None
 
 
 def parse_code(text: str) -> NeuralCode:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codes import (
+    MAX_NEURONS,
     NeuralCode,
     Word,
     add_codeword,
@@ -34,11 +35,20 @@ def barred(i: int, n: int) -> int:
     return n + 1 + i
 
 
+def _check_family_size(n: int) -> None:
+    # before anything is built: a huge n would spend seconds on lists first
+    if n < 2:
+        raise ValueError("the family needs n >= 2")
+    if 2 * n + 1 > MAX_NEURONS:
+        raise ValueError(
+            f"the family on 2n+1 = {2 * n + 1} neurons exceeds the {MAX_NEURONS}-neuron cap"
+        )
+
+
 def gen_an(n: int) -> NeuralCode:
     """The 2n+3-word family on 2n+1 neurons: a full word, a crossing word,
     the empty word, and pair/triple words {i, i'} and {i, i', n+1}."""
-    if n < 2:
-        raise ValueError("the family needs n >= 2")
+    _check_family_size(n)
     full = list(range(1, n + 1)) + [barred(i, n) for i in range(1, n + 1)]
     words: list[list[int]] = [full, [n + 1], []]
     for i in range(1, n + 1):
@@ -49,17 +59,14 @@ def gen_an(n: int) -> NeuralCode:
 
 def gen_sn(n: int) -> NeuralCode:
     """The restriction of the 2n+3-word family to neurons 1..n+1."""
-    if n < 2:
-        raise ValueError("the family needs n >= 2")
     return restrict(gen_an(n), range(1, n + 2))
 
 
 def gen_cn(n: int) -> NeuralCode:
     """The 2n+3-word family plus the non-maximal word of all duplicate partners."""
-    if n < 2:
-        raise ValueError("the family needs n >= 2")
+    an = gen_an(n)
     extra = word(barred(i, n) for i in range(1, n + 1))
-    return add_codeword(gen_an(n), extra).code
+    return add_codeword(an, extra).code
 
 
 def realization_cn_rn(n: int) -> Arrangement:
@@ -71,8 +78,7 @@ def realization_cn_rn(n: int) -> Arrangement:
     duplicate partners lives in the corner of the unit cube where the
     coordinate sum is below 1.
     """
-    if n < 2:
-        raise ValueError("the family needs n >= 2")
+    _check_family_size(n)
 
     def box_rows(i: int) -> list[tuple]:
         rows: list[tuple] = []

@@ -363,6 +363,8 @@ def _pattern(sets: Sequence[list[Row]], point: _IntPoint) -> Word:
 
 def membership_pattern(arr: Arrangement, point: Sequence[Fraction]) -> Word:
     """The codeword of sets containing the point under the arrangement topology."""
+    if len(point) != arr.dim:
+        raise ValueError(f"point has {len(point)} coordinates, expected {arr.dim}")
     return _pattern(_set_rows(arr), _integer_point(tuple(_frac(x) for x in point)))
 
 

@@ -7,14 +7,14 @@ one vertex); NON_CONTRACTIBLE comes with a nonzero reduced Betti number over
 the rationals, or with the observation that the realization is empty.
 Anything else is UNKNOWN.
 
-Decisions read the facets before any face is built: a complex without a
-nonempty facet has an empty realization, and one whose facets share a vertex
-is a cone on it.  Otherwise one greedy collapse runs: a path to a vertex is
-the certificate, else the Betti numbers of its core decide, and a stuck core
-with trivial homology goes to the backtracking search.  In the
-mandatory-codeword table only facet intersections build a link; the link of
-any other face is a cone on a vertex of the facets above it.  Collapses find
-free faces one vertex up: sigma is free when it has one coface sigma ∪ {v}.
+One rule reads the facets before any face is built: the vertices outside a
+face f that lie in every facet above f.  For f = ∅ they are the cone apexes
+of the complex; for a face of the mandatory-codeword table they are the cone
+apexes of its link, so only facet intersections build a link; for a vertex
+they say whether it is dominated (its link is a cone).  Deleting dominated
+vertices keeps the homotopy type, so homology is computed on the strong core
+that is left.  Collapses find free faces one vertex up: sigma is free when it
+has one coface sigma ∪ {v}.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .codes import (
     NeuralCode,
     SimplicialComplex,
     Word,
-    members,
+    complex_from_faces,
     missing_intersections,
     simplicial_complex,
     word_key,
@@ -131,11 +131,32 @@ def _vertex_mask(faces: set[Word] | frozenset[Word]) -> Word:
     return verts
 
 
-def _meet(facets) -> Word:
+def _apexes(facets, f: Word) -> Word:
+    """The vertices outside f that lie in every facet above f."""
     common = ~0
-    for f in facets:
-        common &= f
-    return common
+    for g in facets:
+        if g & f == f:
+            common &= g
+    return common & ~f
+
+
+def _strong_core(cpx: SimplicialComplex) -> SimplicialComplex:
+    """Delete dominated vertices one at a time until none is left.
+
+    A vertex is dominated when its link is a cone; deleting it keeps the
+    homotopy type (Barmak & Minian, *Strong homotopy types, nerves and
+    collapses*, 2012).  The facets of the deletion of v are the
+    inclusion-maximal sets F ∖ {v}.
+    """
+    rest = _vertex_mask(cpx.facets)
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        if _apexes(cpx.facets, v):
+            cpx = complex_from_faces(cpx.n, (f & ~v for f in cpx.facets))
+            # a deletion can dominate a vertex that was already passed
+            rest = _vertex_mask(cpx.facets)
+    return cpx
 
 
 def _greedy_collapse(faces: frozenset[Word]) -> tuple[set[Word], list[tuple[Word, Word]]]:
@@ -197,56 +218,40 @@ def _column_rank(cols: list[dict[int, Fraction]]) -> int:
 
 def _betti_of_faces(faces: set[Word], top_dim: int) -> tuple[int, ...]:
     """Reduced Betti numbers of a face set, padded with zeros up to top_dim."""
-    if top_dim < 0:
-        return ()
     by_dim: dict[int, list[Word]] = {}
     for f in faces:
         if f:
             by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for fs in by_dim.values():
-        fs.sort(key=word_key)
-    index_of = {
-        k: {f: i for i, f in enumerate(fs)} for k, fs in by_dim.items()
-    }
-    dim = max(by_dim) if by_dim else -1
-
-    ranks: dict[int, int] = {}
     # augmentation map onto the empty face
-    ranks[0] = 1 if by_dim.get(0) else 0
-    for k in range(1, dim + 1):
-        rows = index_of.get(k - 1, {})
-        cols: list[dict[int, Fraction]] = []
-        for f in by_dim.get(k, []):
-            col: dict[int, Fraction] = {}
-            verts = [1 << (i - 1) for i in members(f)]
-            for j, vbit in enumerate(verts):
-                face = f & ~vbit
-                col[rows[face]] = Fraction((-1) ** j)
-            cols.append(col)
-        ranks[k] = _column_rank(cols)
-
-    betti = []
-    for k in range(top_dim + 1):
-        f_k = len(by_dim.get(k, []))
-        betti.append(f_k - ranks.get(k, 0) - ranks.get(k + 1, 0))
-    return tuple(betti)
+    ranks = {0: 1 if by_dim.get(0) else 0}
+    for k in range(1, max(by_dim, default=-1) + 1):
+        rows = {f: i for i, f in enumerate(by_dim.get(k - 1, []))}
+        ranks[k] = _column_rank([
+            {rows[g]: Fraction((-1) ** j) for j, g in enumerate(_below(f))}
+            for f in by_dim.get(k, [])
+        ])
+    return tuple(
+        len(by_dim.get(k, [])) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        for k in range(top_dim + 1)
+    )
 
 
 def reduced_homology(cpx: SimplicialComplex) -> tuple[int, ...]:
     """Reduced rational Betti numbers, indexed by dimension 0..dim(cpx).
 
-    A cone (facets sharing a vertex) gets zeros from its facets.  Otherwise a
-    greedy collapse shrinks the complex first; collapses are homotopy
-    equivalences, so the boundary-matrix ranks of the core give the Betti
-    numbers of the input.  All arithmetic is exact.
+    Dominated vertices are deleted first; a strong core of one facet is a
+    simplex, with zeros.  Otherwise a greedy collapse shrinks the core and the
+    boundary-matrix ranks of what is left give the Betti numbers.  Both steps
+    are homotopy equivalences, and all arithmetic is exact.
     """
     top_dim = cpx.dim
     if top_dim < 0:
         return ()
-    if _meet(cpx.facets):
+    core = _strong_core(cpx)
+    if len(core.facets) == 1:
         return (0,) * (top_dim + 1)
-    core, _ = _greedy_collapse(cpx.face_set)
-    return _betti_of_faces(core, top_dim)
+    faces, _ = _greedy_collapse(core.face_set)
+    return _betti_of_faces(faces, top_dim)
 
 
 # --- collapsibility search ------------------------------------------------------
@@ -322,25 +327,24 @@ def contractibility(
     """Decide contractibility of the geometric realization where possible.
 
     Decision order: empty realization (no nonempty facet), cone detection,
-    greedy collapse to a point (the first branch of ``collapse_to_point``,
-    taken when it fits the budget), nonzero reduced homology of the greedy
-    core, then bounded backtracking collapse search.  The first two read the
-    facets only.  A complex whose homology is trivial but which resists
-    collapsing within budget stays UNKNOWN.
+    the first nonzero reduced Betti number, greedy collapse to a point (the
+    first branch of ``collapse_to_point``, taken when it fits the budget),
+    then bounded backtracking collapse search.  The first two read the facets
+    only, and ``reduced_homology`` builds the faces of the strong core only.
+    A complex whose homology is trivial but which resists collapsing within
+    budget stays UNKNOWN.
     """
     if not any(cpx.facets):
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
-    common = _meet(cpx.facets)
+    common = _apexes(cpx.facets, 0)
     if common:
         return _cone(common)
+    for k, b in enumerate(reduced_homology(cpx)):
+        if b:
+            return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k)
     core, steps = _greedy_collapse(cpx.face_set)
     if len(core) == 2 and len(steps) <= collapse_budget:
         return ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=tuple(steps))
-    for k, b in enumerate(_betti_of_faces(core, cpx.dim)):
-        if b:
-            return ContractibilityResult(
-                Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k
-            )
     seq = collapse_to_point(cpx, budget=collapse_budget)
     if seq is not None:
         return ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=seq)
@@ -350,9 +354,7 @@ def contractibility(
 # --- mandatory codewords and local obstructions ---------------------------------
 
 
-def mandatory_codewords(
-    cpx: SimplicialComplex, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET
-) -> dict[Word, ContractibilityResult]:
+def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityResult]:
     """Contractibility status of the link of every nonempty face.
 
     A face is a mandatory codeword when its link is NON_CONTRACTIBLE: every
@@ -364,11 +366,8 @@ def mandatory_codewords(
     """
     out: dict[Word, ContractibilityResult] = {}
     for f in sorted((f for f in cpx.face_set if f), key=word_key):
-        apexes = _meet(g for g in cpx.facets if g & f == f) & ~f
-        if apexes:
-            out[f] = _cone(apexes)
-        else:
-            out[f] = contractibility(link(cpx, f), collapse_budget=collapse_budget)
+        apexes = _apexes(cpx.facets, f)
+        out[f] = _cone(apexes) if apexes else contractibility(link(cpx, f))
     return out
 
 

@@ -3,7 +3,12 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from convexcodes.cli import main
+from convexcodes.generators import corpus_names
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -107,10 +112,15 @@ def test_gen_family_files(tmp_path, capsys):
 
 
 def test_gen_corpus_entry(tmp_path, capsys):
-    status, _, _ = run(capsys, "gen", "boxes6", "--out", str(tmp_path))
-    assert status == 0
-    for name in ("boxes6.code", "boxes6_open.arr", "boxes6_closed.arr"):
-        assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes()
+    # every corpus entry regenerates its shipped files, and together they are the corpus
+    for name in corpus_names():
+        status, _, err = run(capsys, "gen", name, "--out", str(tmp_path))
+        assert status == 0 and not err, name
+    shipped = sorted(p.name for p in CORPUS.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == shipped
+    assert len(shipped) == 34
+    for name in shipped:
+        assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name
 
 
 def test_gen_errors(tmp_path, capsys):
@@ -140,6 +150,28 @@ def test_link_command(capsys):
     assert status == 1 and "not in the code's simplicial complex" in err
 
 
+@pytest.mark.parametrize(
+    "token, face",
+    [("3", "{3}"), ("03", "{3}"), ("٣", None), ("３", None), ("1_0", None), ("+3", None),
+     ("-3", None), ("3.0", None), ("0x3", None), ("9" * 5000, None)],
+)
+def test_integer_options_are_ascii_decimal(tmp_path, capsys, token, face):
+    # --face and --n follow the file grammar [0-9]+; int() would read 1_0 as 10
+    status, out, err = run(capsys, "link", str(CORPUS / "boxes6.code"), "--face", token)
+    if face is None:
+        assert status == 1 and not out
+        assert err.startswith("error: ") and "is not an unsigned decimal integer" in err
+    else:
+        assert status == 0 and out.startswith(f"face: {face}\n")
+    status, out, err = run(capsys, "gen", "an", "--n", token, "--out", str(tmp_path / "g"))
+    if face is None:
+        assert status == 1 and not out
+        assert err.startswith("error: ") and "is not an unsigned decimal integer" in err
+        assert not (tmp_path / "g").exists()
+    else:
+        assert status == 0 and (tmp_path / "g" / "an_3.code").exists()
+
+
 def test_link_of_face_in_large_facet(tmp_path, capsys):
     # the link of {2} is the 29-vertex simplex {1,3,...,30}: decided from its
     # facet, without materialising its 2^29 faces
@@ -165,3 +197,44 @@ def test_byte_determinism(capsys, tmp_path):
     run(capsys, "gen", "fan6", "--out", str(tmp_path / "a"))
     run(capsys, "gen", "fan6", "--out", str(tmp_path / "b"))
     assert (tmp_path / "a" / "fan6.arr").read_bytes() == (tmp_path / "b" / "fan6.arr").read_bytes()
+
+
+_CODES = sorted(str(p) for p in CORPUS.glob("*.code"))
+_ARRS = sorted(str(p) for p in CORPUS.glob("*.arr"))
+_FAMILIES = ["an", "sn", "cn", "boxes6", "nonesuch"]
+_POSITIONALS = {"analyze": [_CODES], "link": [_CODES], "code-of": [_ARRS],
+                "verify": [_ARRS, _CODES], "gen": [_FAMILIES]}
+_OPTIONS = {"analyze": ["--homology"], "link": ["--face"], "gen": ["--n", "--realization"]}
+_TOKENS = ["3", "1 3", "0", "65", "٣", "1_0", "+3", "-3", "10000000", "9" * 5000, "", "x",
+           "r2", "rn", "--homology", "--face", "--n", "-h", str(CORPUS / "nonesuch.code")]
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its positionals (or up to two wrong ones), some of its
+    options, and perhaps one stray token; option values are edge cases or
+    random text."""
+    command = draw(st.sampled_from([*_POSITIONALS, "nonesuch"]))
+    token = st.sampled_from(_TOKENS) | st.text(max_size=6)
+    anything = st.sampled_from(_CODES + _ARRS + _FAMILIES) | token
+    right = st.tuples(*(st.sampled_from(c) for c in _POSITIONALS.get(command, [])))
+    argv = [command, *draw(right | st.lists(anything, max_size=2))]
+    for option in _OPTIONS.get(command, []):
+        if draw(st.booleans()):
+            argv += [option] if option == "--homology" else [option, draw(token)]
+    return argv + draw(st.lists(anything, max_size=1))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_main_exits_only_with_0_1_or_2(tmp_path, capsys, argv):
+    # gen writes only into the temporary directory (a later --out wins); the
+    # other commands write no file
+    if argv[0] == "gen":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # -h prints usage and exits
+        status = exc.code
+    capsys.readouterr()
+    assert status in (0, 1, 2)

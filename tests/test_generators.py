@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,17 @@ def test_gen_cn_structure():
         assert res.code == cn
         assert res.non_maximal and res.complex_preserved
         assert simplicial_complex(cn) == simplicial_complex(an)
+
+
+@pytest.mark.parametrize("family", [gen_an, gen_sn, gen_cn, realization_cn_rn])
+def test_families_fail_fast_at_the_neuron_cap(family):
+    # 2n+1 <= 64 neurons: n = 31 is the largest family
+    assert family(31) is not None
+    for n in (32, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="64-neuron cap"):
+            family(n)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_cn_realization_landmarks():

@@ -365,6 +365,14 @@ def test_sunflower_atoms():
     assert find_atom_point(arr, 0) is not None
 
 
+def test_membership_pattern_dimension_mismatch():
+    arr = sunflower3_realization()  # dimension 2
+    assert membership_pattern(arr, (1, 0)) == word([1, 2, 3])
+    for point in [(1,), (1, 0, 5), ()]:
+        with pytest.raises(ValueError, match="expected 2"):
+            membership_pattern(arr, point)
+
+
 def test_single_square_code():
     arr = Arrangement(2, Topology.CLOSED, (unit_square(),))
     code = code_of_arrangement(arr)

@@ -266,7 +266,7 @@ def test_homology_family_one_hole():
 
 
 @settings(max_examples=40, deadline=None)
-@given(complexes(max_n=5, max_facets=5))
+@given(complexes(max_n=8, max_facets=5))
 def test_homology_matches_dense_oracle(cpx):
     assert reduced_homology(cpx) == oracle_betti(cpx)
 
@@ -291,12 +291,32 @@ def test_homology_of_cone_builds_no_face(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_homology_of_strongly_collapsible_complex_builds_no_face(monkeypatch):
+    # deleting the dominated vertices 1..23 leaves the path {24,25},{25,26},{26,27},
+    # which only shrinks to one facet when each deletion keeps inclusion-maximal sets
+    cpx = complex_from_faces(27, [full_word(24), word([24, 25]), word([25, 26]), word([26, 27])])
+    monkeypatch.setattr(SimplicialComplex, "face_set", property(lambda _: pytest.fail("faces built")))
+    assert reduced_homology(cpx) == (0,) * 24
+
+
+def test_loop_beside_large_facet_is_decided_fast():
+    # {1,2,21} is a hollow triangle once 3..20 are deleted; a full face set has 2^20 faces
+    cpx = cpx_of(21, tuple(range(1, 21)), (1, 21), (2, 21))
+    t0 = time.perf_counter()
+    res = contractibility(cpx)
+    assert res.status is Contractibility.NON_CONTRACTIBLE
+    assert res.nonzero_betti_dim == 1
+    assert reduced_homology(cpx) == (0, 1) + (0,) * 18
+    assert time.perf_counter() - t0 < 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(complexes(max_n=5, max_facets=5))
 def test_no_contradictory_certificates(cpx):
     # nonzero homology must never coexist with a CONTRACTIBLE verdict
     res = contractibility(cpx)
     betti = oracle_betti(cpx)
+    assert res.nonzero_betti_dim == next((k for k, b in enumerate(betti) if b), None)
     if any(betti):
         assert res.status is Contractibility.NON_CONTRACTIBLE
     if res.status is Contractibility.CONTRACTIBLE:
