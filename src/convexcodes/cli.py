@@ -186,35 +186,39 @@ def _write(path: Path, text: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # every file is built before the --out directory is touched, so a bad
+    # family, --n or --realization leaves nothing behind
     family = args.family
     if family in _FAMILY_CODES:
         if args.n is None:
             raise ValueError(f"family {family!r} needs --n")
         n = args.n
-        code = _FAMILY_CODES[family](n)
-        _write(out / f"{family}_{n}.code", serialize_code(code))
+        files = [(f"{family}_{n}.code", serialize_code(_FAMILY_CODES[family](n)))]
         if args.realization is not None:
             builder = _FAMILY_REALIZATIONS.get((family, args.realization))
             if builder is None:
                 raise ValueError(
                     f"family {family!r} has no {args.realization!r} realization"
                 )
-            arr = builder(n)
-            _write(
-                out / f"{family}_{args.realization}_{n}.arr", serialize_arrangement(arr)
+            files.append(
+                (f"{family}_{args.realization}_{n}.arr", serialize_arrangement(builder(n)))
             )
-        return 0
-    if family in corpus_names():
-        entry: CorpusEntry = corpus_entry(family)
+    elif family in corpus_names():
         if args.n is not None:
             raise ValueError(f"corpus entry {family!r} does not take --n")
-        _write(out / f"{entry.name}.code", serialize_code(entry.code))
-        for real in entry.realizations:
-            _write(out / f"{real.stem}.arr", serialize_arrangement(real.arrangement))
-        return 0
-    raise ValueError(f"unknown family {family!r}")
+        entry: CorpusEntry = corpus_entry(family)
+        files = [(f"{entry.name}.code", serialize_code(entry.code))]
+        files += [
+            (f"{real.stem}.arr", serialize_arrangement(real.arrangement))
+            for real in entry.realizations
+        ]
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        _write(out / name, text)
+    return 0
 
 
 def cmd_link(args: argparse.Namespace) -> int:

@@ -120,15 +120,18 @@ def serialize_code(code: NeuralCode) -> str:
 
 # an integer or p/q; Fraction() alone would also take decimals and exponents,
 # and an exponent like 1e10000000 costs time and memory to expand
-_NUMBER = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_number(token: str, lineno: int) -> Fraction:
-    if not _NUMBER.fullmatch(token):
+    m = _NUMBER.fullmatch(token)
+    if m is None:
         raise ParseError(lineno, f"bad number {token!r}")
+    p, q = m.groups()
     try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
+        # int() of the matched digits; Fraction(token) would parse them again
+        return Fraction(int(p), int(q) if q else 1)
+    except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
         raise ParseError(lineno, f"bad number {token!r}") from None
 
 

@@ -3,12 +3,14 @@
 Sets are H-representations: lists of linear constraints ``a·x <= b``,
 ``a·x < b``, or ``a·x = b`` with Fraction coefficients, as in the files and
 the API.  The engine computes on one row form, made once per set by
-``integer_rows``: an integer coefficient vector, a Fraction bound and a
+``integer_rows``: an integer coefficient vector, an integer bound and a
 strict flag.  An equality is two opposite weak rows; a row's negation is the
 opposite row with the strictness flipped.  Feasibility is Fourier-Motzkin
-elimination on these rows, exact with mixed strict/weak rows, which is what
-lets a single engine decide both open and closed semantics.  Membership
-evaluates rows in integers at a witness over one common denominator.
+elimination on these rows in integers, exact with mixed strict/weak rows,
+which is what lets a single engine decide both open and closed semantics.
+Back-substitution builds the witness as integers over one common
+denominator; Fractions appear again only in the point ``feasible_point``
+returns.  Membership evaluates rows in integers at such a witness.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -36,8 +38,8 @@ from typing import Iterable, Sequence
 from .codes import NeuralCode, Word, full_word, members
 
 Point = tuple[Fraction, ...]
-# ``key · x <= bound`` (``<`` if strict), key an integer vector
-Row = tuple[tuple[int, ...], Fraction, bool]
+# ``key · x <= bound`` (``<`` if strict), key an integer vector, bound an integer
+Row = tuple[tuple[int, ...], int, bool]
 # a point as integer numerators over one common denominator
 _IntPoint = tuple[list[int], int]
 
@@ -147,16 +149,18 @@ def interpreted_constraints(
 
 
 def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
-    """The rows of the constraints, each scaled by the lcm of its coefficient denominators.
+    """The rows of the constraints, each scaled to integers by the lcm of its denominators.
 
-    An equality ``a·x = b`` becomes ``-a·x <= -b`` then ``a·x <= b``, so
+    The lcm covers the bound's denominator too, so every key entry and every
+    bound is an ``int``, and Fourier-Motzkin needs no Fraction.  An equality ``a·x = b`` becomes ``-a·x <= -b`` then ``a·x <= b``, so
     that the negations of its rows read ``a·x < b`` then ``a·x > b``.
     """
     rows: list[Row] = []
     for c in constraints:
-        den = lcm(*(a.denominator for a in c.coeffs))
+        b = _frac(c.bound)
+        den = lcm(b.denominator, *(a.denominator for a in c.coeffs))
         key = tuple([a.numerator * (den // a.denominator) for a in c.coeffs])
-        bound = _frac(c.bound) * den
+        bound = b.numerator * (den // b.denominator)
         if c.rel is Rel.EQ:
             rows.append((tuple([-v for v in key]), -bound, False))
         rows.append((key, bound, c.rel is Rel.LT))
@@ -177,8 +181,8 @@ def _integer_point(point: Point) -> _IntPoint:
 def _holds(row: Row, point: _IntPoint) -> bool:
     key, bound, strict = row
     nums, den = point
-    lhs = sum(map(mul, key, nums)) * bound.denominator
-    rhs = bound.numerator * den
+    lhs = sum(map(mul, key, nums))
+    rhs = bound * den
     return lhs < rhs if strict else lhs <= rhs
 
 
@@ -193,60 +197,70 @@ class _IneqSystem:
     """Weak/strict inequality rows, normalized, with dominance pruning.
 
     Rows are keyed by their primitive integer coefficient vector; for equal
-    directions only the tightest bound is kept.  Opposite directions are
-    checked for an empty feasibility window as rows are added, which is what
-    decides an equality, stored as two opposite weak rows.
+    directions only the tightest bound is kept, as a reduced pair
+    ``(num, den)`` with ``den > 0``, and bounds are compared by
+    cross-multiplication.  Opposite directions are checked for an empty
+    feasibility window as rows are added, which is what decides an equality,
+    stored as two opposite weak rows.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[tuple[int, ...], tuple[Fraction, bool]] = {}
+        self.rows: dict[tuple[int, ...], tuple[int, int, bool]] = {}
 
-    def add(self, coeffs: Sequence[int], bound: Fraction, strict: bool) -> None:
+    def add(self, coeffs: Sequence[int], num: int, den: int, strict: bool) -> None:
+        """Add ``coeffs · x <= num / den`` (``<`` if strict), with ``den > 0``."""
         g = gcd(*coeffs)
         if g == 0:
-            if bound < 0 or (bound == 0 and strict):
+            if num < 0 or (num == 0 and strict):
                 raise _Infeasible
             return
         if g == 1:
             key = tuple(coeffs)
         else:
             key = tuple([v // g for v in coeffs])
-            bound = bound / g
+            den *= g
+        if den != 1 and (h := gcd(num, den)) != 1:
+            num //= h
+            den //= h
         old = self.rows.get(key)
-        if old is None or bound < old[0] or (bound == old[0] and strict and not old[1]):
-            self.rows[key] = (bound, strict)
-            b_eff, s_eff = bound, strict
-        else:
-            b_eff, s_eff = old
+        if old is not None:
+            diff = num * old[1] - old[0] * den
+            if diff > 0 or (diff == 0 and (old[2] or not strict)):
+                num, den, strict = old
+        self.rows[key] = (num, den, strict)
         opp = self.rows.get(tuple([-v for v in key]))
         if opp is not None:
-            # key·x <= b_eff and key·x >= lo
-            lo = -opp[0]
-            if lo > b_eff or (lo == b_eff and (s_eff or opp[1])):
+            # key·x <= num/den and key·x >= -opp_num/opp_den
+            width = num * opp[1] + opp[0] * den
+            if width < 0 or (width == 0 and (strict or opp[2])):
                 raise _Infeasible
 
 
-def _eliminate(system: _IneqSystem, k: int) -> tuple[list[Row], _IneqSystem]:
+# a row of an _IneqSystem: primitive key, bound numerator and denominator, strict
+_Bounding = tuple[tuple[int, ...], int, int, bool]
+
+
+def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSystem]:
     """Remove x_k: the rows that bound it, and the system they imply without it."""
-    lowers: list[Row] = []
-    uppers: list[Row] = []
+    lowers: list[_Bounding] = []
+    uppers: list[_Bounding] = []
     new = _IneqSystem()
-    for key, (b, s) in system.rows.items():
+    for key, (n, d, s) in system.rows.items():
         if key[k] < 0:
-            lowers.append((key, b, s))
+            lowers.append((key, n, d, s))
         elif key[k] > 0:
-            uppers.append((key, b, s))
+            uppers.append((key, n, d, s))
         else:
-            new.rows[key] = (b, s)
-    for lkey, lb, ls in lowers:
+            new.rows[key] = (n, d, s)
+    for lkey, ln, ld, ls in lowers:
         la = -lkey[k]
-        for ukey, ub, us in uppers:
+        for ukey, un, ud, us in uppers:
             ua = ukey[k]
             combined = [ua * lv + la * uv for lv, uv in zip(lkey, ukey)]
             # an opposite pair cancels to 0 <= ua * (lb + ub), which add's
             # window check already decided
             if any(combined):
-                new.add(combined, lb * ua + ub * la, ls or us)
+                new.add(combined, ua * ln * ud + la * un * ld, ld * ud, ls or us)
     return lowers + uppers, new
 
 
@@ -254,18 +268,20 @@ def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
     """Decide a system of mixed strict/weak integer rows exactly; return a witness.
 
     The rows come from ``integer_rows``.  Fourier-Motzkin removes the
-    variables one by one, and a satisfying rational point is reconstructed
-    by back-substitution through the rows that bounded each removed
-    variable.  Returns None when the system is infeasible.
+    variables one by one in integers, and a satisfying rational point is
+    reconstructed by back-substitution through the rows that bounded each
+    removed variable, as integer numerators over one common denominator;
+    the Fractions of the returned point are the only ones built.  Returns
+    None when the system is infeasible.
     """
     for key, _, _ in rows:
         if len(key) != dim:
             raise ValueError(f"row has {len(key)} coefficients, expected {dim}")
     system = _IneqSystem()
-    steps: list[tuple[int, list[Row]]] = []
+    steps: list[tuple[int, list[_Bounding]]] = []
     try:
         for key, bound, strict in rows:
-            system.add(key, bound, strict)
+            system.add(key, bound, 1, strict)
         while system.rows:
             # eliminate the variable with the fewest lower × upper row pairs
             lows = [0] * dim
@@ -282,28 +298,42 @@ def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
     except _Infeasible:
         return None
 
-    values = [Fraction(0)] * dim
+    # the witness is nums / den, den the lcm of the coordinates' denominators;
+    # x_k is still 0 while its bounds are read
+    nums = [0] * dim
+    den = 1
     for k, bounding in reversed(steps):
-        lo: tuple[Fraction, bool] | None = None
-        hi: tuple[Fraction, bool] | None = None
-        for key, b, s in bounding:
-            rest = sum(values[i] * v for i, v in enumerate(key) if v and i != k)
-            cand = (b - rest) / key[k]  # key[k] < 0 flips the inequality
-            if key[k] < 0:
-                if lo is None or cand > lo[0] or (cand == lo[0] and s):
-                    lo = (cand, s)
-            elif hi is None or cand < hi[0] or (cand == hi[0] and s):
-                hi = (cand, s)
+        lo: tuple[int, int, bool] | None = None
+        hi: tuple[int, int, bool] | None = None
+        for key, n, d, s in bounding:
+            # key·x <= n/d bounds x_k by (n/d - rest/den) / key[k]
+            a = key[k]
+            cn = n * den - d * sum(map(mul, key, nums))
+            cd = d * den * a
+            if a < 0:
+                cn, cd = -cn, -cd  # a lower bound
+                if lo is None or (diff := cn * lo[1] - lo[0] * cd) > 0 or (diff == 0 and s):
+                    lo = (cn, cd, s)
+            elif hi is None or (diff := cn * hi[1] - hi[0] * cd) < 0 or (diff == 0 and s):
+                hi = (cn, cd, s)
         if lo is None:
             assert hi is not None
-            values[k] = hi[0] - 1 if hi[1] else hi[0]
+            vn, vd = (hi[0] - hi[1] if hi[2] else hi[0]), hi[1]
         elif hi is None:
-            values[k] = lo[0] + 1 if lo[1] else lo[0]
-        elif lo[0] == hi[0]:
-            values[k] = lo[0]
+            vn, vd = (lo[0] + lo[1] if lo[2] else lo[0]), lo[1]
+        elif lo[0] * hi[1] == hi[0] * lo[1]:
+            vn, vd = lo[0], lo[1]
         else:
-            values[k] = (lo[0] + hi[0]) / 2
-    return tuple(values)
+            vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(vn, vd)
+        vn //= g
+        vd //= g
+        if den % vd:
+            scale = vd // gcd(den, vd)
+            nums = [v * scale for v in nums]
+            den *= scale
+        nums[k] = vn * (den // vd)
+    return tuple([Fraction(v, den) for v in nums])
 
 
 _COMPARE = {Rel.LE: le, Rel.LT: lt, Rel.EQ: eq}

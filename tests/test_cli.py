@@ -136,6 +136,33 @@ def test_gen_errors(tmp_path, capsys):
     assert status == 1  # wrong realization kind for the family
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "nonesuch"],
+        ["gen", "an"],
+        ["gen", "an", "--n", "3", "--realization", "rn"],
+        ["gen", "boxes6", "--n", "3"],
+    ],
+    ids=["unknown-family", "missing-n", "wrong-realization", "corpus-with-n"],
+)
+def test_gen_errors_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "d"
+    status, _, err = run(capsys, *argv, "--out", str(out))
+    assert status == 1 and "error:" in err
+    assert not out.exists()
+
+
+def test_main_is_reentrant(capsys):
+    code = str(CORPUS / "cn_2.code")
+    _, with_flag, _ = run(capsys, "analyze", code, "--homology")
+    _, without, _ = run(capsys, "analyze", code)
+    assert "reduced betti numbers" in with_flag and "reduced betti numbers" not in without
+    arr = str(CORPUS / "fan6.arr")
+    first = run(capsys, "code-of", arr)
+    assert first[0] == 0 and run(capsys, "code-of", arr) == first
+
+
 def test_link_command(capsys):
     status, out, _ = run(capsys, "link", str(CORPUS / "boxes6.code"), "--face", "3")
     assert status == 0

@@ -122,6 +122,20 @@ def test_parse_code_reads_ten_as_ten_only():
     assert parse_code("neurons: 10\n10\n") == neural_code(10, [[10]])
 
 
+@pytest.mark.parametrize("token", ["3", "-3", "+3", "3/7", "-6/4", "007", "1/0", "1/00"])
+def test_parse_number_agrees_with_fraction(token):
+    text = f"dimension: 1\ntopology: closed\nset 1\n{token} <= 1\n"
+    try:
+        want = Fraction(token)
+    except ZeroDivisionError:
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(text)
+        assert err.value.line == 4 and f"bad number {token!r}" in str(err.value)
+        return
+    got = parse_arrangement(text).sets[0].constraints[0].coeffs[0]
+    assert type(got) is Fraction and got == want
+
+
 def test_parse_arrangement_accepts_signed_integers_and_fractions():
     arr = parse_arrangement("dimension: 2\ntopology: closed\nset 1\n+3 -1/2 <= -0\n")
     c = arr.sets[0].constraints[0]

@@ -238,7 +238,8 @@ def oracle_feasible_point(constraints, dim):
 @st.composite
 def mixed_systems(draw):
     dim = draw(st.integers(1, 3))
-    scalar = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    # large numerators over small denominators make large cross-products
+    scalar = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 7))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         coeffs = [draw(scalar) for _ in range(dim)]
@@ -250,10 +251,15 @@ def mixed_systems(draw):
 @given(mixed_systems())
 def test_feasible_point_matches_substitution_oracle(system):
     rows, dim = system
-    got = feasible_point(integer_rows(rows), dim)
+    int_rows = integer_rows(rows)
+    assert all(
+        type(bound) is int and all(type(v) is int for v in key) for key, bound, _ in int_rows
+    )
+    got = feasible_point(int_rows, dim)
     want = oracle_feasible_point(rows, dim)
     assert (got is None) == (want is None)
     if got is not None:
+        assert all(type(x) is Fraction for x in got)
         assert point_satisfies(rows, got) and point_satisfies(rows, want)
 
 
@@ -459,6 +465,34 @@ def test_extraction_never_evaluates_fractions(monkeypatch, corpus_entries, extra
     for entry in corpus_entries:
         for real in entry.realizations:
             assert code_of_arrangement(real.arrangement) == extracted_codes[real.stem], real.stem
+
+
+def test_feasible_point_builds_only_its_witness(monkeypatch, corpus_entries):
+    # elimination and back-substitution run in integers: the only Fractions a
+    # call builds, arithmetic included, are the coordinates it returns
+    built = 0
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    solve = geometry.feasible_point
+    per_call = []
+
+    def counted(rows, dim):
+        before = built
+        w = solve(rows, dim)
+        per_call.append((built - before, dim))
+        return w
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(geometry, "feasible_point", counted)
+    for entry in corpus_entries:
+        for real in entry.realizations:
+            code_of_arrangement(real.arrangement)
+    assert per_call and all(n <= dim for n, dim in per_call)
 
 
 # --- membership on integer rows against Fraction evaluation ---------------------------
