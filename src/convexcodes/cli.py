@@ -206,6 +206,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     elif family in corpus_names():
         if args.n is not None:
             raise ValueError(f"corpus entry {family!r} does not take --n")
+        if args.realization is not None:
+            raise ValueError(f"corpus entry {family!r} does not take --realization")
         entry: CorpusEntry = corpus_entry(family)
         files = [(f"{entry.name}.code", serialize_code(entry.code))]
         files += [

@@ -10,7 +10,10 @@ elimination on these rows in integers, exact with mixed strict/weak rows,
 which is what lets a single engine decide both open and closed semantics.
 Back-substitution builds the witness as integers over one common
 denominator; Fractions appear again only in the point ``feasible_point``
-returns.  Membership evaluates rows in integers at such a witness.
+returns.  Membership evaluates rows in integers at such a witness.  A
+solve is incremental: it copies a normalised system, adds only its new
+rows (which alone may prove it empty), then eliminates, and the extended
+system is kept for the solves that build on it.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -22,7 +25,9 @@ lies inside a skipped set of smaller index is dropped with everything the
 search would add to it, so k sets through one point cost as many faces as
 distinct intersection regions, not 2^k.  The atom of each remaining closed
 face is decided by a depth-first search over one negated row per avoided
-set, with incremental infeasibility pruning.
+set, with incremental infeasibility pruning.  Each face keeps the
+normalised system of U_sigma, so a child, a containment test or an atom
+branch adds only its own rows to it.
 """
 
 from __future__ import annotations
@@ -235,6 +240,24 @@ class _IneqSystem:
             if width < 0 or (width == 0 and (strict or opp[2])):
                 raise _Infeasible
 
+    def implies(self, row: Row) -> bool:
+        """Whether row holds wherever the system does, read off one stored row.
+
+        True when row is valid everywhere, or when the system keeps row's
+        primitive direction with a bound at least as tight; no elimination
+        runs, so False proves nothing.
+        """
+        coeffs, num, strict = row
+        g = gcd(*coeffs)
+        if g == 0:
+            return num > 0 or (num == 0 and not strict)
+        old = self.rows.get(tuple([v // g for v in coeffs]))
+        if old is None:
+            return False
+        # old is num / g or tighter
+        diff = num * old[1] - old[0] * g
+        return diff > 0 or (diff == 0 and (old[2] or not strict))
+
 
 # a row of an _IneqSystem: primitive key, bound numerator and denominator, strict
 _Bounding = tuple[tuple[int, ...], int, int, bool]
@@ -264,24 +287,25 @@ def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSyste
     return lowers + uppers, new
 
 
-def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
-    """Decide a system of mixed strict/weak integer rows exactly; return a witness.
-
-    The rows come from ``integer_rows``.  Fourier-Motzkin removes the
-    variables one by one in integers, and a satisfying rational point is
-    reconstructed by back-substitution through the rows that bounded each
-    removed variable, as integer numerators over one common denominator;
-    the Fractions of the returned point are the only ones built.  Returns
-    None when the system is infeasible.
-    """
-    for key, _, _ in rows:
-        if len(key) != dim:
-            raise ValueError(f"row has {len(key)} coefficients, expected {dim}")
-    system = _IneqSystem()
-    steps: list[tuple[int, list[_Bounding]]] = []
+def _extend(system: _IneqSystem, rows: Iterable[Row]) -> _IneqSystem | None:
+    """A copy of system with rows added, or None if adding them proves it empty."""
+    new = _IneqSystem()
+    new.rows = system.rows.copy()
     try:
         for key, bound, strict in rows:
-            system.add(key, bound, 1, strict)
+            new.add(key, bound, 1, strict)
+    except _Infeasible:
+        return None
+    return new
+
+
+def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
+    """A point of the system by elimination and back-substitution, or None.
+
+    Elimination builds new systems and leaves this one as it is.
+    """
+    steps: list[tuple[int, list[_Bounding]]] = []
+    try:
         while system.rows:
             # eliminate the variable with the fewest lower × upper row pairs
             lows = [0] * dim
@@ -333,6 +357,43 @@ def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
             nums = [v * scale for v in nums]
             den *= scale
         nums[k] = vn * (den // vd)
+    return nums, den
+
+
+def _solve(
+    system: _IneqSystem, rows: Iterable[Row], dim: int
+) -> tuple[_IneqSystem, _IntPoint] | None:
+    """Solve system with rows added: the extended system and its witness, or None.
+
+    Every Fourier-Motzkin solve runs through here.  The witness's
+    denominator is the lcm of its coordinates' reduced denominators.
+    """
+    extended = _extend(system, rows)
+    if extended is None:
+        return None
+    w = _witness(extended, dim)
+    return None if w is None else (extended, w)
+
+
+def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
+    """Decide a system of mixed strict/weak integer rows exactly; return a witness.
+
+    The rows come from ``integer_rows``.  This is ``_solve`` from the empty
+    system; extraction calls ``_solve`` on each face's stored system
+    instead, so that each test adds only its new rows.
+    Fourier-Motzkin removes the variables one by one in integers, and a
+    satisfying rational point is reconstructed by back-substitution through
+    the rows that bounded each removed variable, as integer numerators over
+    one common denominator; the Fractions of the returned point are the only
+    ones built.  Returns None when the system is infeasible.
+    """
+    for key, _, _ in rows:
+        if len(key) != dim:
+            raise ValueError(f"row has {len(key)} coefficients, expected {dim}")
+    solved = _solve(_IneqSystem(), rows, dim)
+    if solved is None:
+        return None
+    nums, den = solved[1]
     return tuple([Fraction(v, den) for v in nums])
 
 
@@ -376,12 +437,6 @@ def _set_rows(arr: Arrangement) -> list[list[Row]]:
     return [integer_rows(interpreted_constraints(p, arr.topology)) for p in arr.sets]
 
 
-def _solve(rows: Sequence[Row], dim: int) -> _IntPoint | None:
-    """``feasible_point`` with the witness scaled to integers."""
-    w = feasible_point(rows, dim)
-    return None if w is None else _integer_point(w)
-
-
 def _pattern(sets: Sequence[list[Row]], point: _IntPoint) -> Word:
     """The codeword of the sets, given by their rows, containing point."""
     w = 0
@@ -402,16 +457,18 @@ def _atom_search(
     arr: Arrangement,
     sets: Sequence[list[Row]],
     sigma: Word,
-    base_rows: list[Row],
+    base: _IneqSystem,
     base_witness: _IntPoint,
     base_pattern: Word,
 ) -> _IntPoint | None:
     """Find a point of U_sigma avoiding every other set, or prove there is none.
 
-    base_pattern is the membership pattern of base_witness.  One negated
-    row is chosen per avoided set, depth-first; a branch is pruned as soon
-    as its partial system is infeasible.  Witnesses are reused: a branch
-    whose new row already holds at the current witness needs no new solve.
+    base is the system of U_sigma and base_pattern the membership pattern of
+    base_witness.  One negated row is chosen per avoided set, depth-first;
+    a branch is pruned as soon as its partial system is infeasible.
+    Witnesses are reused: a branch whose new row already holds at the
+    current witness needs no new solve, and its row waits to be added with
+    the next solve below it.
     """
     if base_pattern == sigma:
         return base_witness
@@ -420,26 +477,26 @@ def _atom_search(
     # a set holding the witness plainly meets it
     levels: list[list[Row]] = []
     for j in outside:
-        if not base_pattern & (1 << (j - 1)) and (
-            feasible_point(base_rows + sets[j - 1], arr.dim) is None
-        ):
+        if not base_pattern & (1 << (j - 1)) and _solve(base, sets[j - 1], arr.dim) is None:
             continue
         levels.append([_negate(r) for r in sets[j - 1]])
 
-    def search(level: int, rows: list[Row], witness: _IntPoint) -> _IntPoint | None:
+    def search(
+        level: int, system: _IneqSystem, pending: list[Row], witness: _IntPoint
+    ) -> _IntPoint | None:
         if level == len(levels):
             return witness
         for nb in levels[level]:
             if _holds(nb, witness):
-                found = search(level + 1, rows + [nb], witness)
+                found = search(level + 1, system, pending + [nb], witness)
             else:
-                w2 = _solve(rows + [nb], arr.dim)
-                found = search(level + 1, rows + [nb], w2) if w2 is not None else None
+                solved = _solve(system, pending + [nb], arr.dim)
+                found = None if solved is None else search(level + 1, solved[0], [], solved[1])
             if found is not None:
                 return found
         return None
 
-    return search(0, base_rows, base_witness)
+    return search(0, base, [], base_witness)
 
 
 def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
@@ -447,9 +504,11 @@ def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
     if sigma & ~full_word(arr.n):
         raise ValueError(f"pattern uses sets beyond the arrangement's {arr.n}")
     sets = _set_rows(arr)
-    base = [r for i in members(sigma) for r in sets[i - 1]]
-    w = _solve(base, arr.dim)
-    found = None if w is None else _atom_search(arr, sets, sigma, base, w, _pattern(sets, w))
+    solved = _solve(_IneqSystem(), [r for i in members(sigma) for r in sets[i - 1]], arr.dim)
+    if solved is None:
+        return None
+    system, w = solved
+    found = _atom_search(arr, sets, sigma, system, w, _pattern(sets, w))
     if found is None:
         return None
     nums, den = found
@@ -462,7 +521,9 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     The search runs over the closed faces of the nerve.  A codeword sigma is
     closed: U_sigma lies in no set outside sigma, since a point of its atom
     avoids them all.  Faces are discovered breadth-first from the empty
-    pattern by adding sets in increasing order, each with a witness point.
+    pattern by adding sets in increasing order, each with a witness point
+    and the normalised Fourier-Motzkin system of U_sigma, so that every
+    test on a face solves only the rows it adds to that system.
     At a face sigma with largest set top, the sets j outside sigma that hold
     the witness are tested in increasing order for U_sigma within U_j, up to
     the first that contains it:
@@ -486,12 +547,19 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     sets = _set_rows(arr)
     origin = ([0] * arr.dim, 1)
     words: set[Word] = set()
-    # (sigma, top, rows of U_sigma, witness, sets outside sigma known to
-    # contain U_sigma)
-    queue: deque[tuple[Word, int, list[Row], _IntPoint, Word]] = deque([(0, 0, [], origin, 0)])
+    # (sigma, top, system of U_sigma once pending is added to it, witness,
+    # its pattern, sets outside sigma known to contain U_sigma); a child
+    # whose parent's witness lies in its new set keeps that witness and its
+    # pattern, and adds the set's rows only when it is reached
+    queue: deque[tuple[Word, int, _IneqSystem, list[Row], _IntPoint, Word, Word]] = deque(
+        [(0, 0, _IneqSystem(), [], origin, _pattern(sets, origin), 0)]
+    )
     while queue:
-        sigma, top, rows, witness, known = queue.popleft()
-        pattern = _pattern(sets, witness)
+        sigma, top, system, pending, witness, pattern, known = queue.popleft()
+        if pending:
+            # the witness satisfies every row, so the adds cannot fail
+            system = _extend(system, pending)
+            assert system is not None
         # the smallest known containing set already skips sigma's atom search
         # and bounds its children, so larger sets need no test
         cover = (known & -known).bit_length() or arr.n + 1
@@ -499,9 +567,9 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
             if j > cover:
                 break
             # U_sigma lies inside U_j when it meets the negation of no row of
-            # U_j; a row among those of U_sigma holds throughout, with no solve
+            # U_j; a row the system already implies needs no solve
             if all(
-                r in rows or feasible_point(rows + [_negate(r)], arr.dim) is None
+                system.implies(r) or _solve(system, [_negate(r)], arr.dim) is None
                 for r in sets[j - 1]
             ):
                 known |= 1 << (j - 1)
@@ -509,14 +577,15 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
                 break
         if cover < top:
             continue
-        if not known and _atom_search(arr, sets, sigma, rows, witness, pattern) is not None:
+        if not known and _atom_search(arr, sets, sigma, system, witness, pattern) is not None:
             words.add(sigma)
         for j in range(top + 1, min(cover, arr.n) + 1):
             bit = 1 << (j - 1)
-            rows2 = rows + sets[j - 1]
-            w2 = witness if pattern & bit else _solve(rows2, arr.dim)
-            if w2 is not None:
-                queue.append((sigma | bit, j, rows2, w2, known & ~bit))
+            if pattern & bit:
+                queue.append((sigma | bit, j, system, sets[j - 1], witness, pattern, known & ~bit))
+            elif (solved := _solve(system, sets[j - 1], arr.dim)) is not None:
+                w2 = solved[1]
+                queue.append((sigma | bit, j, solved[0], [], w2, _pattern(sets, w2), known & ~bit))
     return NeuralCode(arr.n, frozenset(words))
 
 

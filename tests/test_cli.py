@@ -134,6 +134,10 @@ def test_gen_errors(tmp_path, capsys):
         capsys, "gen", "an", "--n", "3", "--realization", "rn", "--out", str(tmp_path)
     )
     assert status == 1  # wrong realization kind for the family
+    status, _, err = run(
+        capsys, "gen", "fan6", "--realization", "rn", "--out", str(tmp_path)
+    )
+    assert status == 1 and "does not take --realization" in err
 
 
 @pytest.mark.parametrize(
@@ -143,8 +147,15 @@ def test_gen_errors(tmp_path, capsys):
         ["gen", "an"],
         ["gen", "an", "--n", "3", "--realization", "rn"],
         ["gen", "boxes6", "--n", "3"],
+        ["gen", "fan6", "--realization", "rn"],
     ],
-    ids=["unknown-family", "missing-n", "wrong-realization", "corpus-with-n"],
+    ids=[
+        "unknown-family",
+        "missing-n",
+        "wrong-realization",
+        "corpus-with-n",
+        "corpus-with-realization",
+    ],
 )
 def test_gen_errors_write_nothing(tmp_path, capsys, argv):
     out = tmp_path / "d"

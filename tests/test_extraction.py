@@ -29,7 +29,6 @@ from convexcodes import (
 )
 from convexcodes import geometry
 from convexcodes.codes import NeuralCode
-from convexcodes.generators import realization_an_r2, realization_cn_rn
 from convexcodes.geometry import interpreted_constraints
 
 # --- oracle: every nerve face, one atom search each --------------------------------
@@ -144,23 +143,44 @@ def test_three_closed_lines_through_a_point():
 # --- Fourier-Motzkin call counts ---------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "build, limit",
-    [(lambda: realization_an_r2(5), 147), (lambda: realization_cn_rn(4), 444)],
-    ids=["an_r2_5", "cn_rn_4"],
-)
-def test_fm_call_budget(monkeypatch, build, limit):
-    # the limits are the measured counts, so a change of witness that costs
-    # calls fails here; the unpruned nerve search makes 10,628 calls on
-    # an_r2_5 and 4,168 on cn_rn_4
-    calls = 0
-    solve = geometry.feasible_point
+# the measured count per corpus arrangement, so a change of witness or of
+# search that costs solves fails here; a count may fall, never rise.  The
+# unpruned nerve search makes 10,628 solves on an_r2_5 and 4,168 on cn_rn_4.
+FM_SOLVES = {
+    "an_r2_2": 15,
+    "an_r2_3": 54,
+    "an_r2_4": 78,
+    "an_r2_5": 147,
+    "boxes6_closed": 88,
+    "boxes6_open": 88,
+    "cn_rn_2": 74,
+    "cn_rn_3": 202,
+    "cn_rn_4": 440,
+    "fan6": 89,
+    "fan8": 119,
+    "sn_r2_2": 7,
+    "sn_r2_3": 26,
+    "sn_r2_4": 30,
+    "sn_r2_5": 59,
+    "sunflower3": 21,
+}
 
-    def counted(constraints, dim):
+
+def test_fm_call_budget_covers_the_corpus(corpus_entries):
+    assert sorted(FM_SOLVES) == sorted(r.stem for e in corpus_entries for r in e.realizations)
+
+
+@pytest.mark.parametrize("stem", sorted(FM_SOLVES))
+def test_fm_call_budget(monkeypatch, corpus_entries, stem):
+    (arr,) = [r.arrangement for e in corpus_entries for r in e.realizations if r.stem == stem]
+    calls = 0
+    solve = geometry._solve
+
+    def counted(system, rows, dim):
         nonlocal calls
         calls += 1
-        return solve(constraints, dim)
+        return solve(system, rows, dim)
 
-    monkeypatch.setattr(geometry, "feasible_point", counted)
-    code_of_arrangement(build())
-    assert calls <= limit
+    monkeypatch.setattr(geometry, "_solve", counted)
+    code_of_arrangement(arr)
+    assert 0 < calls <= FM_SOLVES[stem]

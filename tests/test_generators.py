@@ -7,6 +7,7 @@ import pytest
 
 from convexcodes import (
     add_codeword,
+    code_of_arrangement,
     duplicate_neurons,
     is_locally_good,
     is_max_intersection_complete,
@@ -30,6 +31,7 @@ from convexcodes.generators import (
     neither8_code,
     realization_an_r2,
     realization_cn_rn,
+    realization_sn_r2,
 )
 
 Q = Fraction
@@ -109,6 +111,20 @@ def test_an_realization_landmarks():
         assert membership_pattern(arr, apex) == full
     with pytest.raises(ValueError):
         realization_an_r2(9)
+
+
+@pytest.mark.parametrize(
+    "realization, family, n",
+    [(realization_cn_rn, gen_cn, n) for n in range(5, 10)]
+    + [(realization_an_r2, gen_an, n) for n in range(6, 9)]
+    + [(realization_sn_r2, gen_sn, n) for n in range(6, 9)],
+    ids=[f"cn_rn_{n}" for n in range(5, 10)]
+    + [f"an_r2_{n}" for n in range(6, 9)]
+    + [f"sn_r2_{n}" for n in range(6, 9)],
+)
+def test_family_realizations_past_the_corpus(realization, family, n):
+    # cn_rn_9 has 19 sets, the largest the 20-set extraction cap allows
+    assert code_of_arrangement(realization(n)) == family(n)
 
 
 def test_corpus_round_trip(corpus_entries, extracted_codes):

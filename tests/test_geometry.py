@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexcodes import (
@@ -263,6 +263,65 @@ def test_feasible_point_matches_substitution_oracle(system):
         assert point_satisfies(rows, got) and point_satisfies(rows, want)
 
 
+@st.composite
+def split_row_systems(draw):
+    """Integer rows cut into a base and extra rows, with the cases the kernel
+    treats apart: strict rows, equality pairs, all-zero rows, and a direction
+    repeated with another scale and a tighter or looser bound."""
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row", "equality", "zero", "repeat"]))
+        bound = draw(st.integers(-6, 6))
+        if kind == "zero":
+            key = (0,) * dim
+        elif kind == "repeat" and rows:
+            key0, bound0, _ = draw(st.sampled_from(rows))
+            m = draw(st.integers(1, 3))
+            key, bound = tuple(m * v for v in key0), m * bound0 + draw(st.integers(-2, 2))
+        else:
+            key = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+        if kind == "equality":
+            rows += [(tuple(-v for v in key), -bound, False), (key, bound, False)]
+        else:
+            rows.append((key, bound, draw(st.booleans())))
+    cut = draw(st.integers(0, len(rows)))
+    return dim, rows[:cut], rows[cut:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_row_systems())
+@example((1, [((1,), 0, False), ((-1,), -1, False)], [((1,), 5, True)]))
+@example((2, [((0, 0), -1, False)], []))
+@example((2, [((1, 1), 2, False), ((-1, -1), -2, False)], [((2, 2), 4, True)]))
+def test_incremental_solve_matches_solve_from_scratch(system):
+    dim, base, extra = system
+    whole = geometry._solve(geometry._IneqSystem(), base + extra, dim)
+    fresh = feasible_point(base + extra, dim)
+    assert (whole is None) == (fresh is None)
+    if whole is not None:
+        nums, den = whole[1]
+        assert tuple(Fraction(v, den) for v in nums) == fresh
+    base_system = geometry._extend(geometry._IneqSystem(), base)
+    if base_system is None:
+        # the adds alone prove the base, and so the whole, empty
+        assert whole is None
+        return
+    # the base's own rows are read off its system with no solve
+    assert all(base_system.implies(row) for row in base)
+    kept = list(base_system.rows.items())
+    part = geometry._solve(base_system, extra, dim)
+    assert list(base_system.rows.items()) == kept
+    assert (part is None) == (whole is None)
+    if part is not None:
+        assert part[1] == whole[1]
+        assert list(part[0].rows.items()) == list(whole[0].rows.items())
+    for row in base + extra:
+        # a row the base implies leaves its negation nothing to solve
+        if base_system.implies(row):
+            assert geometry._solve(base_system, [geometry._negate(row)], dim) is None
+
+
 def test_feasible_point_witnesses_satisfy_system():
     rng = random.Random(7)
     for _ in range(50):
@@ -468,8 +527,9 @@ def test_extraction_never_evaluates_fractions(monkeypatch, corpus_entries, extra
 
 
 def test_feasible_point_builds_only_its_witness(monkeypatch, corpus_entries):
-    # elimination and back-substitution run in integers: the only Fractions a
-    # call builds, arithmetic included, are the coordinates it returns
+    # elimination and back-substitution run in integers: an engine solve
+    # builds no Fraction, arithmetic included, and feasible_point builds only
+    # the coordinates it returns
     built = 0
     new = Fraction.__new__
 
@@ -478,21 +538,27 @@ def test_feasible_point_builds_only_its_witness(monkeypatch, corpus_entries):
         built += 1
         return new(cls, *args, **kwargs)
 
-    solve = geometry.feasible_point
+    solve = geometry._solve
     per_call = []
 
-    def counted(rows, dim):
+    def counted(system, rows, dim):
         before = built
-        w = solve(rows, dim)
-        per_call.append((built - before, dim))
-        return w
+        out = solve(system, rows, dim)
+        per_call.append(built - before)
+        return out
 
+    arrangements = [real.arrangement for e in corpus_entries for real in e.realizations]
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
-    monkeypatch.setattr(geometry, "feasible_point", counted)
-    for entry in corpus_entries:
-        for real in entry.realizations:
-            code_of_arrangement(real.arrangement)
-    assert per_call and all(n <= dim for n, dim in per_call)
+    monkeypatch.setattr(geometry, "_solve", counted)
+    for arr in arrangements:
+        code_of_arrangement(arr)
+    assert per_call and not any(per_call)
+    for arr in arrangements:
+        sets = geometry._set_rows(arr)
+        for sigma in range(1 << arr.n):
+            before = built
+            feasible_point([r for i in members(sigma) for r in sets[i - 1]], arr.dim)
+            assert built - before <= arr.dim
 
 
 # --- membership on integer rows against Fraction evaluation ---------------------------
