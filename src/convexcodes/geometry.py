@@ -27,7 +27,10 @@ distinct intersection regions, not 2^k.  The atom of each remaining closed
 face is decided by a depth-first search over one negated row per avoided
 set, with incremental infeasibility pruning.  Each face keeps the
 normalised system of U_sigma, so a child, a containment test or an atom
-branch adds only its own rows to it.
+branch adds only its own rows to it.  The points the search finds are
+kept, keyed by their membership patterns: those patterns are codewords,
+and they answer without a solve whether U_sigma meets a set or is not
+inside it.
 """
 
 from __future__ import annotations
@@ -157,8 +160,9 @@ def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
     """The rows of the constraints, each scaled to integers by the lcm of its denominators.
 
     The lcm covers the bound's denominator too, so every key entry and every
-    bound is an ``int``, and Fourier-Motzkin needs no Fraction.  An equality ``a·x = b`` becomes ``-a·x <= -b`` then ``a·x <= b``, so
-    that the negations of its rows read ``a·x < b`` then ``a·x > b``.
+    bound is an ``int``, and Fourier-Motzkin needs no Fraction.  An equality
+    ``a·x = b`` becomes ``-a·x <= -b`` then ``a·x <= b``, so that the
+    negations of its rows read ``a·x < b`` then ``a·x > b``.
     """
     rows: list[Row] = []
     for c in constraints:
@@ -404,7 +408,12 @@ def point_satisfies(constraints: Iterable[LinearConstraint], point: Sequence[Fra
     """Whether every constraint holds at point, evaluated in Fractions.
 
     A check of witnesses independent of the integer rows the engine uses.
+    Raises ValueError when a constraint and the point differ in dimension.
     """
+    constraints = tuple(constraints)
+    for c in constraints:
+        if len(c.coeffs) != len(point):
+            raise ValueError(f"point has {len(point)} coordinates, expected {len(c.coeffs)}")
     return all(
         _COMPARE[c.rel](sum(map(mul, c.coeffs, point), Fraction(0)), c.bound)
         for c in constraints
@@ -454,32 +463,32 @@ def membership_pattern(arr: Arrangement, point: Sequence[Fraction]) -> Word:
 
 
 def _atom_search(
-    arr: Arrangement,
     sets: Sequence[list[Row]],
+    dim: int,
     sigma: Word,
     base: _IneqSystem,
     base_witness: _IntPoint,
-    base_pattern: Word,
+    meets: Word,
+    apart: Word,
 ) -> _IntPoint | None:
     """Find a point of U_sigma avoiding every other set, or prove there is none.
 
-    base is the system of U_sigma and base_pattern the membership pattern of
-    base_witness.  One negated row is chosen per avoided set, depth-first;
-    a branch is pruned as soon as its partial system is infeasible.
-    Witnesses are reused: a branch whose new row already holds at the
-    current witness needs no new solve, and its row waits to be added with
-    the next solve below it.
+    base is the system of U_sigma and base_witness a point of it; U_sigma is
+    known to meet the sets in meets and to miss those in apart, and only the
+    other sets outside sigma cost a solve to decide.  One negated row is
+    chosen per avoided set, depth-first; a row the base system implies has
+    an empty negation and is no branch, and a branch is pruned as soon as
+    its partial system is infeasible.  Witnesses are reused: a branch whose
+    new row already holds at the current witness needs no new solve, and its
+    row waits to be added with the next solve below it.
     """
-    if base_pattern == sigma:
-        return base_witness
-    outside = [i for i in range(1, arr.n + 1) if not sigma & (1 << (i - 1))]
-    # sets already disjoint from the base region need no explicit negation;
-    # a set holding the witness plainly meets it
     levels: list[list[Row]] = []
-    for j in outside:
-        if not base_pattern & (1 << (j - 1)) and _solve(base, sets[j - 1], arr.dim) is None:
+    for i, rows in enumerate(sets):
+        bit = 1 << i
+        if (sigma | apart) & bit:
             continue
-        levels.append([_negate(r) for r in sets[j - 1]])
+        if meets & bit or _solve(base, rows, dim) is not None:
+            levels.append([_negate(r) for r in rows if not base.implies(r)])
 
     def search(
         level: int, system: _IneqSystem, pending: list[Row], witness: _IntPoint
@@ -490,7 +499,7 @@ def _atom_search(
             if _holds(nb, witness):
                 found = search(level + 1, system, pending + [nb], witness)
             else:
-                solved = _solve(system, pending + [nb], arr.dim)
+                solved = _solve(system, pending + [nb], dim)
                 found = None if solved is None else search(level + 1, solved[0], [], solved[1])
             if found is not None:
                 return found
@@ -508,7 +517,8 @@ def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
     if solved is None:
         return None
     system, w = solved
-    found = _atom_search(arr, sets, sigma, system, w, _pattern(sets, w))
+    pattern = _pattern(sets, w)
+    found = w if pattern == sigma else _atom_search(sets, arr.dim, sigma, system, w, pattern, 0)
     if found is None:
         return None
     nums, den = found
@@ -521,12 +531,23 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     The search runs over the closed faces of the nerve.  A codeword sigma is
     closed: U_sigma lies in no set outside sigma, since a point of its atom
     avoids them all.  Faces are discovered breadth-first from the empty
-    pattern by adding sets in increasing order, each with a witness point
-    and the normalised Fourier-Motzkin system of U_sigma, so that every
-    test on a face solves only the rows it adds to that system.
-    At a face sigma with largest set top, the sets j outside sigma that hold
-    the witness are tested in increasing order for U_sigma within U_j, up to
-    the first that contains it:
+    pattern by adding sets in increasing order, each with the normalised
+    Fourier-Motzkin system of U_sigma, so that every test on a face solves
+    only the rows it adds to that system.
+
+    Points found on the way are pooled under their membership patterns, each
+    a codeword: the origin, the witnesses of child solves and of failed
+    containment tests, and every atom point; the code is the pool's keys.
+    At each face one scan of the pool patterns P containing sigma gives two
+    masks: ``meets``, the union of those P, holds sets that meet U_sigma, and
+    ``leaves``, the union of their complements, holds sets that do not
+    contain it; points found at the face add to both.  A face also carries
+    ``apart``, the sets its own child solves or an ancestor's proved
+    disjoint from its region, which no region below it meets.
+
+    At a face sigma with largest set top, the sets j outside sigma that are
+    in meets but not in leaves are tested in increasing order for U_sigma
+    within U_j, up to the first that contains it:
 
     - j < top: sigma and every face below it in the search lack j and lie
       inside U_j, so none is a codeword and the whole subtree is dropped;
@@ -534,7 +555,11 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
       only children adding sets up to j are kept, since the others lack j.
 
     Containing sets pass down to the children, whose regions they contain
-    too, so no child tests them again.
+    too, so no child tests them again.  A child adding a set in meets takes
+    that set's rows as pending rows, with a pool point as its witness, and
+    needs no solve; one adding a set in apart is not a face.  A sigma
+    already in the pool skips its atom search, whose levels for sets in
+    meets or apart need no solve.
 
     The increasing chain of prefixes of a codeword never meets either rule,
     so every codeword is still reached, and the number of faces searched
@@ -545,48 +570,77 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     if arr.n > 20:
         raise ValueError(f"arrangement has {arr.n} sets; extraction is capped at 20")
     sets = _set_rows(arr)
-    origin = ([0] * arr.dim, 1)
-    words: set[Word] = set()
-    # (sigma, top, system of U_sigma once pending is added to it, witness,
-    # its pattern, sets outside sigma known to contain U_sigma); a child
-    # whose parent's witness lies in its new set keeps that witness and its
-    # pattern, and adds the set's rows only when it is reached
-    queue: deque[tuple[Word, int, _IneqSystem, list[Row], _IntPoint, Word, Word]] = deque(
-        [(0, 0, _IneqSystem(), [], origin, _pattern(sets, origin), 0)]
+    dim = arr.dim
+    origin = ([0] * dim, 1)
+    pool: dict[Word, _IntPoint] = {_pattern(sets, origin): origin}
+    # (sigma, top, system of U_sigma once pending is added to it, pending,
+    # sets outside sigma known to contain U_sigma, sets known to miss it)
+    queue: deque[tuple[Word, int, _IneqSystem, list[Row], Word, Word]] = deque(
+        [(0, 0, _IneqSystem(), [], 0, 0)]
     )
     while queue:
-        sigma, top, system, pending, witness, pattern, known = queue.popleft()
+        sigma, top, system, pending, known, apart = queue.popleft()
         if pending:
-            # the witness satisfies every row, so the adds cannot fail
+            # a pool point satisfies every row, so the adds cannot fail
             system = _extend(system, pending)
             assert system is not None
+        witness = None
+        meets = leaves = 0
+        for p, w in pool.items():
+            if p & sigma == sigma:
+                witness = witness or w
+                meets |= p
+                leaves |= ~p
+
+        def add_point(w: _IntPoint) -> None:
+            nonlocal meets, leaves
+            p = _pattern(sets, w)
+            pool.setdefault(p, w)
+            meets |= p
+            leaves |= ~p
+
         # the smallest known containing set already skips sigma's atom search
         # and bounds its children, so larger sets need no test
         cover = (known & -known).bit_length() or arr.n + 1
-        for j in members(pattern & ~sigma & ~known):
+        for j in members(meets & ~leaves & ~sigma & ~known):
             if j > cover:
                 break
+            if leaves & (1 << (j - 1)):
+                continue  # a point found by an earlier test lies outside U_j
             # U_sigma lies inside U_j when it meets the negation of no row of
             # U_j; a row the system already implies needs no solve
-            if all(
-                system.implies(r) or _solve(system, [_negate(r)], arr.dim) is None
-                for r in sets[j - 1]
-            ):
+            for r in sets[j - 1]:
+                if not system.implies(r) and (solved := _solve(system, [_negate(r)], dim)):
+                    add_point(solved[1])
+                    break
+            else:
                 known |= 1 << (j - 1)
                 cover = j
                 break
         if cover < top:
             continue
-        if not known and _atom_search(arr, sets, sigma, system, witness, pattern) is not None:
-            words.add(sigma)
+        children = []
         for j in range(top + 1, min(cover, arr.n) + 1):
             bit = 1 << (j - 1)
-            if pattern & bit:
-                queue.append((sigma | bit, j, system, sets[j - 1], witness, pattern, known & ~bit))
-            elif (solved := _solve(system, sets[j - 1], arr.dim)) is not None:
-                w2 = solved[1]
-                queue.append((sigma | bit, j, solved[0], [], w2, _pattern(sets, w2), known & ~bit))
-    return NeuralCode(arr.n, frozenset(words))
+            if meets & bit:
+                children.append((j, system, sets[j - 1]))
+            elif not apart & bit:
+                solved = _solve(system, sets[j - 1], dim)
+                if solved is None:
+                    apart |= bit
+                else:
+                    add_point(solved[1])
+                    children.append((j, solved[0], []))
+        # apart is complete only now, after the last child's solve
+        for j, child_system, child_pending in children:
+            bit = 1 << (j - 1)
+            queue.append((sigma | bit, j, child_system, child_pending, known & ~bit, apart))
+        if not known and sigma not in pool:
+            assert witness is not None
+            atom = _atom_search(sets, dim, sigma, system, witness, meets, apart)
+            if atom is not None:
+                pool[sigma] = atom
+    return NeuralCode(arr.n, frozenset(pool))
 
 
 def line_meets(

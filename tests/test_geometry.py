@@ -430,6 +430,21 @@ def test_sunflower_atoms():
     assert find_atom_point(arr, 0) is not None
 
 
+def test_point_satisfies_dimension_mismatch():
+    # the point must have one coordinate per coefficient; a shorter or longer
+    # point would otherwise be read through a truncated dot product
+    cons = [constraint([1, 0], "<=", 1)]
+    assert point_satisfies(cons, (Q(0), Q(9)))
+    assert point_satisfies([], (Q(5),))
+    for point in [(Q(5),), (Q(0), Q(0), Q(9)), ()]:
+        with pytest.raises(ValueError, match="expected 2"):
+            point_satisfies(cons, point)
+    # a mismatch after a violated constraint is still reported
+    mixed = [constraint([1, 0], "<=", -1), constraint([1, 0, 0], "<=", 1)]
+    with pytest.raises(ValueError, match="expected 3"):
+        point_satisfies(mixed, (Q(0), Q(0)))
+
+
 def test_membership_pattern_dimension_mismatch():
     arr = sunflower3_realization()  # dimension 2
     assert membership_pattern(arr, (1, 0)) == word([1, 2, 3])
