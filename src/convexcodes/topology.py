@@ -11,10 +11,12 @@ One rule reads the facets before any face is built: the vertices outside a
 face f that lie in every facet above f.  For f = ∅ they are the cone apexes
 of the complex; for a face of the mandatory-codeword table they are the cone
 apexes of its link, so only facet intersections build a link; for a vertex
-they say whether it is dominated (its link is a cone).  Deleting dominated
-vertices keeps the homotopy type, so homology is computed on the strong core
-that is left.  Collapses find free faces one vertex up: sigma is free when it
-has one coface sigma ∪ {v}.
+they say whether it is dominated (its link is a cone).  The table is one
+depth-first walk in lexicographic order that hands the facets above each
+face down to its children, so it builds no face set and sorts nothing.
+Deleting dominated vertices keeps the homotopy type, so homology is
+computed on the strong core that is left.  Collapses find free faces one
+vertex up: sigma is free when it has one coface sigma ∪ {v}.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .codes import (
+    MAX_NEURONS,
     NeuralCode,
     SimplicialComplex,
     Word,
@@ -316,9 +320,13 @@ def collapse_to_point(
 
 def _cone(apexes: Word) -> ContractibilityResult:
     """The cone certificate on the lowest of the common vertices ``apexes``."""
-    return ContractibilityResult(
-        Contractibility.CONTRACTIBLE, cone_apex=(apexes & -apexes).bit_length()
-    )
+    return _cone_on((apexes & -apexes).bit_length())
+
+
+@lru_cache(maxsize=MAX_NEURONS)
+def _cone_on(apex: int) -> ContractibilityResult:
+    """One shared certificate per apex vertex, however many rows carry it."""
+    return ContractibilityResult(Contractibility.CONTRACTIBLE, cone_apex=apex)
 
 
 def contractibility(
@@ -355,7 +363,7 @@ def contractibility(
 
 
 def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityResult]:
-    """Contractibility status of the link of every nonempty face.
+    """Contractibility status of the link of every nonempty face, in ``word_key`` order.
 
     A face is a mandatory codeword when its link is NON_CONTRACTIBLE: every
     code with this complex that is open or closed convex must contain it.
@@ -363,11 +371,30 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     facets above f that f lacks, so only faces that are intersections of
     facets build their link (Curto et al., *What makes a neural code
     convex?*, 2017); the others get the cone apex the link would give.
+
+    The rows come from one depth-first walk: from a face f, each vertex v
+    above max(f) that lies in a facet above f, in ascending order, gives the
+    row f ∪ {v}, whose subtree is walked next.  That preorder is ``word_key``
+    order, so no face set is built and nothing is sorted.  The facets above
+    f ∪ {v} are the facets above f that contain v.
     """
     out: dict[Word, ContractibilityResult] = {}
-    for f in sorted((f for f in cpx.face_set if f), key=word_key):
-        apexes = _apexes(cpx.facets, f)
-        out[f] = _cone(apexes) if apexes else contractibility(link(cpx, f))
+
+    def walk(f: Word, above: list[Word]) -> None:
+        rest = 0
+        for g in above:
+            rest |= g
+        rest &= -(1 << f.bit_length())  # the vertices above max(f)
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            h = f | v
+            sub = [g for g in above if g & v]
+            apexes = _apexes(sub, h)
+            out[h] = _cone(apexes) if apexes else contractibility(link(cpx, h))
+            walk(h, sub)
+
+    walk(0, list(cpx.facets))
     return out
 
 

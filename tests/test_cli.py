@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from convexcodes.cli import main
-from convexcodes.generators import corpus_names
+from convexcodes.formats import serialize_code
+from convexcodes.generators import corpus_names, gen_an, gen_cn
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -44,6 +46,50 @@ def test_analyze_neither8(capsys):
     assert "checked face {1}: contractible" in out
     assert "checked face {3}: contractible" in out
     assert "checked face {7}: contractible" in out
+
+
+# sha256 of `analyze --homology` stdout, pinned when the table was built from
+# the sorted face set; every byte of every row, and the row order, must stay
+ANALYZE_HOMOLOGY_SHA256 = {
+    "an_2": "4511bcea6f137f2d95b33081ad1e22db0561578aafc54cd60b98b17c368808b0",
+    "an_3": "caa8c9b3f82f872239c490d1920a416de6c36c6910a9821d459bf1e79aa9cc38",
+    "an_4": "4f2bf9a9a05482f6ad7f829e61ef3b4c36525d602bbfc26f0ffc1f27170fbae7",
+    "an_5": "73d3e6421f221232d6b63868983fc5b75d94075abe772018add9f6927c5a64de",
+    "boxes6": "0526690c92c53dbb2ff571f86e9a8507dddc4f49909d1e8de684176c0486139a",
+    "cn_2": "70e7d5ef98679f79c1cc22106eec5720aec37fd76cea4c4f3082b72d90f8b0ec",
+    "cn_3": "2d862039f4c4583e0332d902d9ea9b6ef5e94c435cae91745f0d427450e7b382",
+    "cn_4": "a7db068c459b25322fb039bc2c559aee9cad046d36d2c30c0abbb0d333995b63",
+    "cn_5": "16e7a87fa76061e56cfc4b12ed5d225c1a83eff63fa44ef5db7ef26318c11319",
+    "fan6": "dd144e0c14fbfa19e9d0f39f04b146e7ca1b6488579b8e632ae668cd1cb82b9b",
+    "fan8": "e71becd49961b2f28da8d2e4cbbe8d0a8719299a367dd22f85331f248ba96fc9",
+    "fan8_plus": "d3ba0356d8907d9ceef762f18525b0e56828064a6f7acda54bd5485f4ade7e1d",
+    "neither8": "fac990578e74a7995a3df4e533601e6a9b6031e7211f8a41ef299a63eb11a336",
+    "sn_2": "c517bcaeb59ba88a7e5b27fae9c98de419518f51076aba3c63231ca357136750",
+    "sn_3": "e65cb3822531edf88978e48b97fe79e7bc06124fda55072562f8354bde7eaa07",
+    "sn_4": "cac63dd03691edae27adcfa6c6b02c765c50414c55fd5b3d9c1a305b5df09e20",
+    "sn_5": "a1aaaabbc38858021eb6fe823f5f0470ab5ec2479813023372a96b00fc825c1d",
+    "sunflower3": "95315e01c11f63ccbcdb6ae6e5af9ac7e57e5623fa6450af5d8ed51ebdc3ad24",
+    "an_6": "8467b156d2475c958b2a96a2ecaa704655d5421365df06ed231c4ba1588d46f1",
+    "cn_6": "f8c62a4953800b29c8904f1577da2be4419ee357bda369e98ed4a40b5fbc4178",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_analyze_output_bytes_are_pinned(tmp_path, capsys):
+    paths = {p.stem: p for p in CORPUS.glob("*.code")}
+    for name, code in (("an_6", gen_an(6)), ("cn_6", gen_cn(6))):
+        paths[name] = tmp_path / f"{name}.code"
+        paths[name].write_text(serialize_code(code), encoding="utf-8")
+    assert set(paths) == set(ANALYZE_HOMOLOGY_SHA256)
+    for name, path in paths.items():
+        status, out, err = run(capsys, "analyze", str(path), "--homology")
+        assert status == 0 and not err
+        assert sha256(out) == ANALYZE_HOMOLOGY_SHA256[name], name
+    _, out, _ = run(capsys, "analyze", str(CORPUS / "neither8.code"))
+    assert sha256(out) == "e35fb16fa1f85d06f62a13c6422b33f7a926129f6015a066da9567239e570fa5"
 
 
 def test_analyze_parse_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexcodes import (
@@ -20,6 +20,7 @@ from convexcodes import (
     restrict,
     simplicial_complex,
     word,
+    word_label,
 )
 from convexcodes.generators import (
     boxes6_code,
@@ -53,6 +54,16 @@ def test_word_roundtrip():
     assert members(word([3, 1, 2])) == (1, 2, 3)
     assert members(word([])) == ()
     assert word([1, 1, 2]) == word([2, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=full_word(64)))
+@example(0)
+@example(full_word(64))
+@example(1 << 63)
+@example(sum(1 << (8 * k + k) for k in range(8)))  # one bit in each byte
+def test_word_label_matches_member_formula(w):
+    assert word_label(w) == "{" + ",".join(map(str, members(w))) + "}"
 
 
 def test_word_validation():

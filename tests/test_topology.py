@@ -385,10 +385,9 @@ def test_locally_good_false_case():
     assert report.obstruction == word([1])
 
 
-@settings(max_examples=60, deadline=None)
-@given(complexes(max_n=7, max_facets=6))
-def test_mandatory_table_matches_link_by_link(cpx):
-    # rows answered by a cone apex without a link carry the link's verdict
+def assert_table_matches_link_by_link(cpx):
+    # rows answered by a cone apex without a link carry the link's verdict,
+    # and the walk gives the rows in the sorted order of the face set
     expected = {
         f: contractibility(link(cpx, f))
         for f in sorted((f for f in cpx.face_set if f), key=word_key)
@@ -396,6 +395,43 @@ def test_mandatory_table_matches_link_by_link(cpx):
     table = mandatory_codewords(cpx)
     assert list(table) == list(expected)
     assert table == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(max_n=7, max_facets=6))
+def test_mandatory_table_matches_link_by_link(cpx):
+    assert_table_matches_link_by_link(cpx)
+
+
+def test_mandatory_table_matches_link_by_link_on_corpus(corpus_entries):
+    # the corpus holds an_5 and cn_5, whose tables have 1,039 rows each
+    for entry in corpus_entries:
+        assert_table_matches_link_by_link(simplicial_complex(entry.code))
+
+
+def test_mandatory_table_builds_no_face(monkeypatch):
+    # the few links that are built may build their own faces; the complex may not
+    cpx = simplicial_complex(gen_an(6))
+    faces_of = SimplicialComplex.face_set.func
+
+    def guarded(other):
+        if other.facets == cpx.facets:
+            pytest.fail("faces built")
+        return faces_of(other)
+
+    monkeypatch.setattr(SimplicialComplex, "face_set", property(guarded))
+    table = mandatory_codewords(cpx)
+    assert len(table) == 4114
+
+
+def test_mandatory_table_shares_cone_certificates():
+    table = mandatory_codewords(simplicial_complex(gen_an(6)))
+    cones = [res for res in table.values() if res.cone_apex is not None]
+    by_apex = {}
+    for res in cones:
+        assert by_apex.setdefault(res.cone_apex, res) is res
+        assert res.describe() == f"contractible [cone apex {res.cone_apex}]"
+    assert len(by_apex) < len(cones)
 
 
 @pytest.mark.parametrize("family", [gen_an, gen_cn])
