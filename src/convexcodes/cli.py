@@ -2,7 +2,8 @@
 
 Exit-code contract: 0 for operational success (verdicts are report content,
 never exit codes), 1 for operational errors such as parse failures, 2 for a
-verification mismatch.  All output is deterministic for fixed inputs.
+verification mismatch.  All output is deterministic for fixed inputs; ``analyze``
+builds its report before it writes a byte, then streams it (``render_analysis``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .codes import (
     NeuralCode,
@@ -90,7 +92,18 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     )
 
 
-def render_analysis(report: AnalysisReport) -> str:
+_KIND = {
+    Contractibility.NON_CONTRACTIBLE: "mandatory", Contractibility.CONTRACTIBLE: "non-mandatory"
+}
+
+
+def render_analysis(report: AnalysisReport, out: TextIO) -> None:
+    """Write the report to ``out`` in chunks of rows, never holding its whole text.
+
+    A (certificate, in-code) tail is rendered once.  In ``word_key`` order, a
+    preorder, a row's parent (the row without its top vertex) is the last row
+    one vertex shorter, so its label is that row's plus ``,top``.
+    """
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
@@ -103,12 +116,7 @@ def render_analysis(report: AnalysisReport) -> str:
         lines.append(
             f"max-intersection complete: false (witness: {inter} = {word_label(value)} not in code)"
         )
-    if report.locally_good is True:
-        verdict = "true"
-    elif report.locally_good is False:
-        verdict = "false"
-    else:
-        verdict = "unknown"
+    verdict = {True: "true", False: "false", None: "unknown"}[report.locally_good]
     lines.append(f"locally good: {verdict}")
     if report.locally_good_checked:
         for f, res in report.locally_good_checked:
@@ -116,20 +124,26 @@ def render_analysis(report: AnalysisReport) -> str:
     else:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")
     lines.append("mandatory codewords of the code complex:")
+    rows = ["\n".join(lines) + "\n"]  # written 256 at a time: a write per row costs more
+    tails: dict[tuple[int, bool], str] = {}  # by id: the report keeps each result alive
+    heads = ["  face {"] * (report.code.n + 1)  # the last row of each size, up to its next vertex
     for f, res, in_code in report.mandatory_table:
-        if res.status is Contractibility.NON_CONTRACTIBLE:
-            kind = "mandatory"
-        elif res.status is Contractibility.CONTRACTIBLE:
-            kind = "non-mandatory"
-        else:
-            kind = "undetermined"
-        lines.append(
-            f"  face {word_label(f)}: {kind} ({res.describe()}), in code: {'yes' if in_code else 'no'}"
-        )
+        size = f.bit_count()
+        head = heads[size - 1] + str(f.bit_length())
+        heads[size] = head + ","
+        tail = tails.get((id(res), in_code))
+        if tail is None:
+            kind = _KIND.get(res.status, "undetermined")
+            yes = "yes" if in_code else "no"
+            tail = tails[id(res), in_code] = f"}}: {kind} ({res.describe()}), in code: {yes}\n"
+        rows.append(head + tail)
+        if len(rows) == 256:
+            out.write("".join(rows))
+            rows.clear()
     if report.betti is not None:
         rendered = " ".join(str(b) for b in report.betti)
-        lines.append(f"reduced betti numbers of the code complex: {rendered}")
-    return "\n".join(lines) + "\n"
+        rows.append(f"reduced betti numbers of the code complex: {rendered}\n")
+    out.write("".join(rows))
 
 
 def _read(path: str) -> str:
@@ -139,7 +153,7 @@ def _read(path: str) -> str:
 def cmd_analyze(args: argparse.Namespace) -> int:
     code = parse_code(_read(args.code_file))
     report = build_analysis(code, include_homology=args.homology)
-    sys.stdout.write(render_analysis(report))
+    render_analysis(report, sys.stdout)
     return 0
 
 

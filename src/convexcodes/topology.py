@@ -375,26 +375,27 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     The rows come from one depth-first walk: from a face f, each vertex v
     above max(f) that lies in a facet above f, in ascending order, gives the
     row f ∪ {v}, whose subtree is walked next.  That preorder is ``word_key``
-    order, so no face set is built and nothing is sorted.  The facets above
-    f ∪ {v} are the facets above f that contain v.
+    order, so no face set is built and nothing is sorted.  One pass over the
+    facets above f ∪ {v}, those above f with v, gives its apexes and union.
     """
     out: dict[Word, ContractibilityResult] = {}
 
-    def walk(f: Word, above: list[Word]) -> None:
-        rest = 0
-        for g in above:
-            rest |= g
-        rest &= -(1 << f.bit_length())  # the vertices above max(f)
+    def walk(f: Word, above: list[Word], verts: Word) -> None:
+        rest = verts & -(1 << f.bit_length())  # the vertices above max(f)
         while rest:
             v = rest & -rest
             rest ^= v
             h = f | v
             sub = [g for g in above if g & v]
-            apexes = _apexes(sub, h)
+            common, union = ~0, 0
+            for g in sub:  # each contains h already
+                common &= g
+                union |= g
+            apexes = common & ~h
             out[h] = _cone(apexes) if apexes else contractibility(link(cpx, h))
-            walk(h, sub)
+            walk(h, sub, union)
 
-    walk(0, list(cpx.facets))
+    walk(0, list(cpx.facets), _vertex_mask(cpx.facets))
     return out
 
 

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import hashlib
+import io
+import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from convexcodes.cli import main
+from convexcodes import cli
+from convexcodes.cli import build_analysis, main
+from convexcodes.codes import NeuralCode, full_word, word, word_label
 from convexcodes.formats import serialize_code
 from convexcodes.generators import corpus_names, gen_an, gen_cn
+from convexcodes.topology import Contractibility
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -322,3 +328,153 @@ def test_main_exits_only_with_0_1_or_2(tmp_path, capsys, argv):
         status = exc.code
     capsys.readouterr()
     assert status in (0, 1, 2)
+
+
+# --- the streamed analyze report ----------------------------------------------------
+
+
+def render_analysis_by_lines(report):
+    """The list-and-join renderer the streamed one replaced, one ``word_label``
+    call per row; kept as the oracle for its bytes."""
+    lines = [
+        f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
+        "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
+    ]
+    if report.max_intersection_complete:
+        lines.append("max-intersection complete: true")
+    else:
+        sets, value = report.incompleteness_witness
+        inter = " & ".join(word_label(w) for w in sets)
+        lines.append(
+            f"max-intersection complete: false (witness: {inter} = {word_label(value)} not in code)"
+        )
+    if report.locally_good is True:
+        verdict = "true"
+    elif report.locally_good is False:
+        verdict = "false"
+    else:
+        verdict = "unknown"
+    lines.append(f"locally good: {verdict}")
+    if report.locally_good_checked:
+        for f, res in report.locally_good_checked:
+            lines.append(f"  checked face {word_label(f)}: {res.describe()}")
+    else:
+        lines.append("  checked faces: none (all intersections of maximal codewords present)")
+    lines.append("mandatory codewords of the code complex:")
+    for f, res, in_code in report.mandatory_table:
+        if res.status is Contractibility.NON_CONTRACTIBLE:
+            kind = "mandatory"
+        elif res.status is Contractibility.CONTRACTIBLE:
+            kind = "non-mandatory"
+        else:
+            kind = "undetermined"
+        lines.append(
+            f"  face {word_label(f)}: {kind} ({res.describe()}), in code: {'yes' if in_code else 'no'}"
+        )
+    if report.betti is not None:
+        rendered = " ".join(str(b) for b in report.betti)
+        lines.append(f"reduced betti numbers of the code complex: {rendered}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def small_codes(draw):
+    n = draw(st.integers(1, 10))
+    return NeuralCode(n, draw(st.frozensets(st.integers(0, full_word(n)), max_size=12)))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_codes())
+@example(NeuralCode(3, frozenset()))
+@example(NeuralCode(3, frozenset({0})))
+@example(NeuralCode(2, frozenset({word([1]), word([2])})))
+# the cone on 2 is the certificate of {1} (in the code) and of {1,3} (not)
+@example(NeuralCode(3, frozenset({word([1, 2, 3]), word([1])})))
+def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
+    path = tmp_path / "c.code"
+    path.write_text(serialize_code(code), encoding="utf-8")
+    for homology in (False, True):
+        flags = ["--homology"] if homology else []
+        status, out, err = run(capsys, "analyze", str(path), *flags)
+        assert status == 0 and not err
+        assert out == render_analysis_by_lines(build_analysis(code, homology))
+
+
+def test_shared_certificate_renders_both_tails(capsys, tmp_path):
+    code = NeuralCode(3, frozenset({word([1, 2, 3]), word([1])}))
+    table = build_analysis(code).mandatory_table
+    tails = {(id(res), in_code) for _, res, in_code in table}
+    assert any((key, not yes) in tails for key, yes in tails)
+    path = tmp_path / "c.code"
+    path.write_text(serialize_code(code), encoding="utf-8")
+    _, out, _ = run(capsys, "analyze", str(path))
+    assert "  face {1}: non-mandatory (contractible [cone apex 2]), in code: yes\n" in out
+    assert "  face {1,3}: non-mandatory (contractible [cone apex 2]), in code: no\n" in out
+
+
+def test_analyze_labels_rows_without_word_label(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "word_label", lambda w: calls.append(w) or word_label(w))
+    path = tmp_path / "an_6.code"
+    path.write_text(serialize_code(gen_an(6)), encoding="utf-8")
+    status, out, _ = run(capsys, "analyze", str(path), "--homology")
+    assert status == 0 and sha256(out) == ANALYZE_HOMOLOGY_SHA256["an_6"]
+    assert len(calls) < 50  # one per row would be about 4,130
+
+
+class ByteCount(io.TextIOBase):
+    """A text sink that keeps only the byte count and the sha256 of what it gets."""
+
+    def __init__(self):
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, s):
+        data = s.encode()
+        self.size += len(data)
+        self.digest.update(data)
+        return len(s)
+
+
+def test_analyze_streams_a_large_table(tmp_path, monkeypatch):
+    # {1..14},{1,15}: 2^14 + 1 rows, 1.35 MB; rendering holds a row, not the text
+    path = tmp_path / "big.code"
+    path.write_text("neurons: 15\n" + " ".join(map(str, range(1, 15))) + "\n1 15\n")
+    build = cli.build_analysis
+
+    def build_then_trace(*args, **kwargs):
+        report = build(*args, **kwargs)
+        tracemalloc.start()
+        return report
+
+    monkeypatch.setattr(cli, "build_analysis", build_then_trace)
+    sink = ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    try:
+        status = main(["analyze", str(path), "--homology"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    # pinned from the list-and-join renderer
+    assert sink.digest.hexdigest() == (
+        "2f4c6e41bfed83e8a7649fb40a579c3c69c4b99b753ea606959713a96cb397d7"
+    )
+    assert sink.size == 1_352_229
+    assert peak < sink.size / 4, (peak, sink.size)
+
+
+@pytest.mark.parametrize("case", ["unparsable", "missing", "build-fails"])
+def test_failed_analyze_writes_nothing(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "c.code"
+    if case == "unparsable":
+        path.write_text("neurons: 3\n1 4\n")
+    elif case == "build-fails":
+        path.write_text("neurons: 3\n1 2\n")
+
+        def fail(*args, **kwargs):
+            raise ValueError("build failed")
+
+        monkeypatch.setattr(cli, "build_analysis", fail)
+    status, out, err = run(capsys, "analyze", str(path), "--homology")
+    assert status == 1 and out == "" and err.startswith("error: ")
