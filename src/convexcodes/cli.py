@@ -18,7 +18,6 @@ from .codes import (
     NeuralCode,
     Word,
     is_max_intersection_complete,
-    missing_intersections,
     simplicial_complex,
     word,
     word_key,
@@ -48,9 +47,9 @@ from .topology import (
     Contractibility,
     ContractibilityResult,
     LocalObstructionReport,
+    _mandatory_rows,
     contractibility,
     link,
-    mandatory_codewords,
     reduced_homology,
 )
 
@@ -75,17 +74,17 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     witness = None
     if not mic.complete:
         witness = (mic.witness_sets, mic.witness_value)
-    rows = mandatory_codewords(cpx)
-    table = tuple((f, res, f in code.words) for f, res in rows.items())
-    # every missing intersection is a face, so its link status is a table row
-    lg = LocalObstructionReport(tuple((f, rows[f]) for f in missing_intersections(code)))
+    rows, linked = _mandatory_rows(cpx, code.words)
+    # the missing intersections are the faces not in the code that are
+    # intersections of facets: the rows with no cone apex, which built a link
+    lg = LocalObstructionReport(tuple((f, res) for f, res, in_code in linked if not in_code))
     betti = reduced_homology(cpx) if include_homology else None
     return AnalysisReport(
         code=code,
         maximal=tuple(cpx.sorted_facets()),
         max_intersection_complete=mic.complete,
         incompleteness_witness=witness,
-        mandatory_table=table,
+        mandatory_table=tuple(rows),
         locally_good=lg.verdict,
         locally_good_checked=lg.checked,
         betti=betti,
@@ -125,17 +124,20 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")
     lines.append("mandatory codewords of the code complex:")
     rows = ["\n".join(lines) + "\n"]  # written 256 at a time: a write per row costs more
-    tails: dict[tuple[int, bool], str] = {}  # by id: the report keeps each result alive
-    heads = ["  face {"] * (report.code.n + 1)  # the last row of each size, up to its next vertex
+    n = report.code.n
+    names = [str(i) for i in range(n + 1)]
+    # by in-code, then by id: the report keeps each result alive
+    tails: tuple[dict[int, str], dict[int, str]] = ({}, {})
+    heads = ["  face {"] * (n + 1)  # the last row of each size, up to its next vertex
     for f, res, in_code in report.mandatory_table:
         size = f.bit_count()
-        head = heads[size - 1] + str(f.bit_length())
+        head = heads[size - 1] + names[f.bit_length()]
         heads[size] = head + ","
-        tail = tails.get((id(res), in_code))
+        tail = tails[in_code].get(id(res))
         if tail is None:
             kind = _KIND.get(res.status, "undetermined")
             yes = "yes" if in_code else "no"
-            tail = tails[id(res), in_code] = f"}}: {kind} ({res.describe()}), in code: {yes}\n"
+            tail = tails[in_code][id(res)] = f"}}: {kind} ({res.describe()}), in code: {yes}\n"
         rows.append(head + tail)
         if len(rows) == 256:
             out.write("".join(rows))

@@ -13,10 +13,13 @@ of the complex; for a face of the mandatory-codeword table they are the cone
 apexes of its link, so only facet intersections build a link; for a vertex
 they say whether it is dominated (its link is a cone).  The table is one
 depth-first walk in lexicographic order that hands the facets above each
-face down to its children, so it builds no face set and sorts nothing.
+face down to its children, so it builds no face set and sorts nothing.  A
+child f ∪ {v} with v in every facet above f has the same facets above it,
+so the walk hands them on unchanged.
 Deleting dominated vertices keeps the homotopy type, so homology is
-computed on the strong core that is left.  Collapses find free faces one
-vertex up: sigma is free when it has one coface sigma ∪ {v}.
+computed on the strong core that is left, with boundary-matrix ranks
+reduced in integers.  Collapses find free faces one vertex up: sigma is
+free when it has one coface sigma ∪ {v}.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from functools import lru_cache
+from math import gcd
+from typing import Container
 
 from .codes import (
-    MAX_NEURONS,
     NeuralCode,
     SimplicialComplex,
     Word,
@@ -195,9 +197,17 @@ def _greedy_collapse(faces: frozenset[Word]) -> tuple[set[Word], list[tuple[Word
     return faces, steps
 
 
-def _column_rank(cols: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse rational matrix given by columns, by exact reduction."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _column_rank(cols: list[dict[int, int]]) -> int:
+    """Rank over the rationals of a sparse integer matrix given by columns.
+
+    Fraction-free reduction: a column whose lowest row holds a pivot becomes
+    a·col − b·pivot, with b/a the ratio of their entries there in lowest
+    terms, and is then divided by the gcd of its entries.  Scaling a column
+    by a nonzero integer keeps its span, so the rank is exact.  Pivots are
+    stored with a positive lowest entry, so a = 1 whenever that entry is ±1,
+    as in every boundary matrix.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for col in cols:
         col = dict(col)
@@ -205,17 +215,22 @@ def _column_rank(cols: list[dict[int, Fraction]]) -> int:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
-                inv = col[low]
-                pivots[low] = {r: v / inv for r, v in col.items()}
+                pivots[low] = col if col[low] > 0 else {r: -v for r, v in col.items()}
                 rank += 1
                 break
-            factor = col[low]
+            g = gcd(piv[low], col[low])
+            a, b = piv[low] // g, col[low] // g
+            if a != 1:
+                col = {r: a * v for r, v in col.items()}
             for r, v in piv.items():
-                nv = col.get(r, Fraction(0)) - factor * v
+                nv = col.get(r, 0) - b * v
                 if nv:
                     col[r] = nv
                 else:
                     col.pop(r, None)
+            g = gcd(*col.values())
+            if g > 1:
+                col = {r: v // g for r, v in col.items()}
         # a column eliminated to zero contributes nothing
     return rank
 
@@ -231,7 +246,7 @@ def _betti_of_faces(faces: set[Word], top_dim: int) -> tuple[int, ...]:
     for k in range(1, max(by_dim, default=-1) + 1):
         rows = {f: i for i, f in enumerate(by_dim.get(k - 1, []))}
         ranks[k] = _column_rank([
-            {rows[g]: Fraction((-1) ** j) for j, g in enumerate(_below(f))}
+            {rows[g]: (-1) ** j for j, g in enumerate(_below(f))}
             for f in by_dim.get(k, [])
         ])
     return tuple(
@@ -318,17 +333,6 @@ def collapse_to_point(
     return tuple(seq) if seq is not None else None
 
 
-def _cone(apexes: Word) -> ContractibilityResult:
-    """The cone certificate on the lowest of the common vertices ``apexes``."""
-    return _cone_on((apexes & -apexes).bit_length())
-
-
-@lru_cache(maxsize=MAX_NEURONS)
-def _cone_on(apex: int) -> ContractibilityResult:
-    """One shared certificate per apex vertex, however many rows carry it."""
-    return ContractibilityResult(Contractibility.CONTRACTIBLE, cone_apex=apex)
-
-
 def contractibility(
     cpx: SimplicialComplex, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET
 ) -> ContractibilityResult:
@@ -346,7 +350,9 @@ def contractibility(
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
     common = _apexes(cpx.facets, 0)
     if common:
-        return _cone(common)
+        return ContractibilityResult(
+            Contractibility.CONTRACTIBLE, cone_apex=(common & -common).bit_length()
+        )
     for k, b in enumerate(reduced_homology(cpx)):
         if b:
             return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k)
@@ -362,6 +368,65 @@ def contractibility(
 # --- mandatory codewords and local obstructions ---------------------------------
 
 
+# a row of the mandatory-codeword table: face, link status, face is a codeword
+Row = tuple[Word, ContractibilityResult, bool]
+
+
+def _mandatory_rows(cpx: SimplicialComplex, words: Container[Word]) -> tuple[list[Row], list[Row]]:
+    """The row of every nonempty face in ``word_key`` order, and the rows that
+    built their link: the intersections of facets.
+
+    A face f is a node of a depth-first walk that knows the facets above it
+    and their intersection ``common``.  Each vertex v above max(f) of a facet
+    above f, in ascending order, gives the row f ∪ {v}, whose subtree is
+    walked next; that preorder is ``word_key`` order.  When v is in
+    ``common``, every facet above f holds v, so f ∪ {v} has the same facets
+    above it, and they are handed down as they are; only a v outside
+    ``common`` filters them.  A row with no vertex above its max is a leaf.
+    """
+    rows: list[Row] = []
+    linked: list[Row] = []
+    cones: dict[Word, ContractibilityResult] = {}  # one certificate per apex bit
+
+    def walk(f: Word, above: list[Word], common: Word, rest: Word) -> None:
+        # rest: the vertices above max(f) of the facets above f
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            h = f | v
+            if v & common:
+                sub, c, up = above, common, rest
+            else:
+                sub = [g for g in above if g & v]
+                c, up = ~0, 0
+                for g in sub:  # each contains h already
+                    c &= g
+                    up |= g
+                up &= -(v << 1)
+            apexes = c & ~h
+            if apexes:
+                low = apexes & -apexes
+                res = cones.get(low)
+                if res is None:
+                    res = cones[low] = ContractibilityResult(
+                        Contractibility.CONTRACTIBLE, cone_apex=low.bit_length()
+                    )
+                rows.append((h, res, h in words))
+            else:
+                row = (h, contractibility(link(cpx, h)), h in words)
+                rows.append(row)
+                linked.append(row)
+            if up:
+                walk(h, sub, c, up)
+
+    facets = list(cpx.facets)
+    walk(0, facets, _apexes(facets, 0), _vertex_mask(facets))
+    # walk's closure holds walk, rows and linked: a cycle that would keep the
+    # rows alive until a full garbage collection, after the table is dropped
+    del walk
+    return rows, linked
+
+
 def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityResult]:
     """Contractibility status of the link of every nonempty face, in ``word_key`` order.
 
@@ -370,33 +435,14 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     The link of f is a cone on every vertex of the intersection of the
     facets above f that f lacks, so only faces that are intersections of
     facets build their link (Curto et al., *What makes a neural code
-    convex?*, 2017); the others get the cone apex the link would give.
+    convex?*, 2017); the others share one cone certificate per apex.
 
-    The rows come from one depth-first walk: from a face f, each vertex v
-    above max(f) that lies in a facet above f, in ascending order, gives the
-    row f ∪ {v}, whose subtree is walked next.  That preorder is ``word_key``
-    order, so no face set is built and nothing is sorted.  One pass over the
-    facets above f ∪ {v}, those above f with v, gives its apexes and union.
+    The rows come from one depth-first walk in ``word_key`` order that
+    builds no face set and sorts nothing.  Adding a vertex that lies in every
+    facet above a face keeps those facets, so the walk hands them down
+    unchanged, and in a subtree above a single facet it filters nothing.
     """
-    out: dict[Word, ContractibilityResult] = {}
-
-    def walk(f: Word, above: list[Word], verts: Word) -> None:
-        rest = verts & -(1 << f.bit_length())  # the vertices above max(f)
-        while rest:
-            v = rest & -rest
-            rest ^= v
-            h = f | v
-            sub = [g for g in above if g & v]
-            common, union = ~0, 0
-            for g in sub:  # each contains h already
-                common &= g
-                union |= g
-            apexes = common & ~h
-            out[h] = _cone(apexes) if apexes else contractibility(link(cpx, h))
-            walk(h, sub, union)
-
-    walk(0, list(cpx.facets), _vertex_mask(cpx.facets))
-    return out
+    return {f: res for f, res, _ in _mandatory_rows(cpx, ())[0]}
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,16 @@ from hypothesis import strategies as st
 
 from convexcodes import cli
 from convexcodes.cli import build_analysis, main
-from convexcodes.codes import NeuralCode, full_word, word, word_label
-from convexcodes.formats import serialize_code
+from convexcodes.codes import (
+    NeuralCode,
+    full_word,
+    members,
+    simplicial_complex,
+    word,
+    word_key,
+    word_label,
+)
+from convexcodes.formats import parse_code, serialize_code
 from convexcodes.generators import corpus_names, gen_an, gen_cn
 from convexcodes.topology import Contractibility
 
@@ -96,6 +104,24 @@ def test_analyze_output_bytes_are_pinned(tmp_path, capsys):
         assert sha256(out) == ANALYZE_HOMOLOGY_SHA256[name], name
     _, out, _ = run(capsys, "analyze", str(CORPUS / "neither8.code"))
     assert sha256(out) == "e35fb16fa1f85d06f62a13c6422b33f7a926129f6015a066da9567239e570fa5"
+
+
+# pinned from the Fraction ranks and the walk that filtered the facets at every row
+def test_large_facet_report_and_neither8_links_are_pinned(tmp_path, capsys):
+    path = tmp_path / "big.code"
+    path.write_text("neurons: 13\n" + " ".join(map(str, range(1, 13))) + "\n1 13\n")
+    status, out, err = run(capsys, "analyze", str(path), "--homology")
+    assert status == 0 and not err
+    assert sha256(out) == "a73410accfc03ae525be72e1e10a1d6fffb7cd9cdf6792cf550e3ba5c9f5867c"
+    code_path = CORPUS / "neither8.code"
+    faces = sorted(simplicial_complex(parse_code(code_path.read_text())).face_set, key=word_key)
+    assert len(faces) == 40
+    links = hashlib.sha256()
+    for f in faces:
+        status, out, err = run(capsys, "link", str(code_path), "--face", " ".join(map(str, members(f))))
+        assert status == 0 and not err
+        links.update(out.encode())
+    assert links.hexdigest() == "dc1a503f350cffb070df78b793bb0694ffde246820b2dd80bee7f53f98ca7350"
 
 
 def test_analyze_parse_error(tmp_path, capsys):

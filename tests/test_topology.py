@@ -6,11 +6,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexcodes import (
     Contractibility,
+    ContractibilityResult,
     FaceNotFoundError,
     NeuralCode,
     SimplicialComplex,
@@ -30,6 +31,7 @@ from convexcodes import (
     word_key,
 )
 from convexcodes.cli import build_analysis
+from convexcodes.codes import missing_intersections
 from convexcodes.generators import boxes6_code, gen_an, gen_cn, neither8_code, sunflower3_code
 
 
@@ -271,6 +273,73 @@ def test_homology_matches_dense_oracle(cpx):
     assert reduced_homology(cpx) == oracle_betti(cpx)
 
 
+def oracle_column_rank(cols):
+    """The rank reduction in Fractions, as it was before it ran in integers."""
+    pivots = {}
+    rank = 0
+    for col in cols:
+        col = {r: Fraction(v) for r, v in col.items()}
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = col[low]
+                pivots[low] = {r: v / inv for r, v in col.items()}
+                rank += 1
+                break
+            factor = col[low]
+            for r, v in piv.items():
+                nv = col.get(r, Fraction(0)) - factor * v
+                if nv:
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+    return rank
+
+
+def boundary_columns(cpx):
+    """The boundary matrix of each dimension k >= 1 of the full complex, by columns."""
+    by_dim = {}
+    for f in sorted(cpx.face_set, key=word_key):
+        if f:
+            by_dim.setdefault(f.bit_count() - 1, []).append(f)
+    for k in range(1, max(by_dim, default=0) + 1):
+        rows = {f: i for i, f in enumerate(by_dim[k - 1])}
+        yield [
+            {rows[f & ~(1 << (v - 1))]: (-1) ** j for j, v in enumerate(members(f))}
+            for f in by_dim[k]
+        ]
+
+
+sparse_integer_matrices = st.lists(
+    st.dictionaries(st.integers(0, 9), st.integers(-3, 3).filter(bool), max_size=6),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_integer_matrices)
+def test_integer_column_rank_matches_fraction_oracle(cols):
+    # entries up to 3 in size make non-unit pivots, which take the gcd path
+    before = [dict(col) for col in cols]
+    assert topology._column_rank(cols) == oracle_column_rank(cols)
+    assert cols == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(max_n=8, max_facets=6))
+def test_integer_ranks_keep_boundary_ranks_and_homology(cpx):
+    for cols in boundary_columns(cpx):
+        assert topology._column_rank(cols) == oracle_column_rank(cols)
+    betti = reduced_homology(cpx)
+    with mock.patch.object(topology, "_column_rank", oracle_column_rank):
+        assert betti == reduced_homology(cpx)
+
+
+def test_topology_computes_without_fractions():
+    assert "Fraction" not in vars(topology)
+
+
 @settings(max_examples=40, deadline=None)
 @given(complexes(max_n=7, max_facets=5), st.integers(min_value=1, max_value=8))
 def test_cone_has_trivial_homology(cpx, apex_seed):
@@ -432,6 +501,59 @@ def test_mandatory_table_shares_cone_certificates():
         assert by_apex.setdefault(res.cone_apex, res) is res
         assert res.describe() == f"contractible [cone apex {res.cone_apex}]"
     assert len(by_apex) < len(cones)
+
+
+def reference_mandatory_codewords(cpx):
+    """The walk as it was before facets were handed down unchanged: every row
+    filters the facets above its parent, and every row walks its subtree."""
+    out = {}
+
+    def walk(f, above, verts):
+        rest = verts & -(1 << f.bit_length())
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            h = f | v
+            sub = [g for g in above if g & v]
+            common, union = ~0, 0
+            for g in sub:
+                common &= g
+                union |= g
+            apexes = common & ~h
+            if apexes:
+                out[h] = ContractibilityResult(
+                    Contractibility.CONTRACTIBLE, cone_apex=(apexes & -apexes).bit_length()
+                )
+            else:
+                out[h] = contractibility(link(cpx, h))
+            walk(h, sub, union)
+
+    walk(0, list(cpx.facets), topology._vertex_mask(cpx.facets))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=9, max_words=10))
+@example(NeuralCode(14, frozenset({full_word(14)})))
+@example(NeuralCode(13, frozenset({full_word(12), word([1, 13])})))
+def test_walk_matches_reference_walk(code):
+    cpx = simplicial_complex(code)
+    expected = reference_mandatory_codewords(cpx)
+    table = mandatory_codewords(cpx)
+    assert list(table) == list(expected)
+    assert table == expected
+    rows, linked = topology._mandatory_rows(cpx, code.words)
+    assert [(f, res) for f, res, _ in rows] == list(table.items())
+    assert all(in_code == (f in code.words) for f, _, in_code in rows)
+    # a row builds its link exactly when it has no cone apex, and the
+    # missing intersections are the linked rows not in the code
+    assert linked == [row for row in rows if row[1].cone_apex is None]
+    assert [f for f, _, in_code in linked if not in_code] == missing_intersections(code)
+    for certificates in (table.values(), (res for _, res, _ in rows)):
+        by_apex = {}
+        for res in certificates:
+            if res.cone_apex is not None:
+                assert by_apex.setdefault(res.cone_apex, res) is res
 
 
 @pytest.mark.parametrize("family", [gen_an, gen_cn])
