@@ -2,18 +2,22 @@
 
 Sets are H-representations: lists of linear constraints ``a·x <= b``,
 ``a·x < b``, or ``a·x = b`` with Fraction coefficients, as in the files and
-the API.  The engine computes on one row form, made once per set by
-``integer_rows``: an integer coefficient vector, an integer bound and a
-strict flag.  An equality is two opposite weak rows; a row's negation is the
-opposite row with the strictness flipped.  Feasibility is Fourier-Motzkin
-elimination on these rows in integers, exact with mixed strict/weak rows,
-which is what lets a single engine decide both open and closed semantics.
-Back-substitution builds the witness as integers over one common
-denominator; Fractions appear again only in the point ``feasible_point``
-returns.  Membership evaluates rows in integers at such a witness.  A
-solve is incremental: it copies a normalised system, adds only its new
-rows (which alone may prove it empty), then eliminates, and the extended
-system is kept for the solves that build on it.
+the API.  ``integer_rows`` scales them to integer rows: an integer
+coefficient vector, an integer bound and a strict flag, an equality being
+two opposite weak rows.  The engine normalises each input row once into the
+form its systems store: the primitive vector, the bound as a reduced
+num/den, the strict flag and the negated vector, the key of the opposite
+row.  A row's negation is that opposite row with the strictness flipped, a
+swap of fields, so solves, implication tests and atom branches normalise
+nothing; only rows elimination derives are normalised as they appear.
+Feasibility is Fourier-Motzkin elimination on these rows in integers, exact
+with mixed strict/weak rows, which is what lets a single engine decide both
+open and closed semantics.  Back-substitution builds the witness as
+integers over one common denominator; Fractions appear again only in the
+point ``feasible_point`` returns.  Membership evaluates rows in integers at
+such a witness.  A solve is incremental: it copies a system, adds only its
+new rows (which alone may prove it empty), then eliminates, and the
+extended system is kept for the solves that build on it.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -48,6 +52,9 @@ from .codes import NeuralCode, Word, full_word, members
 Point = tuple[Fraction, ...]
 # ``key · x <= bound`` (``<`` if strict), key an integer vector, bound an integer
 Row = tuple[tuple[int, ...], int, bool]
+# ``key · x <= num / den`` as a system stores it: key primitive (or zero, for
+# a row that holds nowhere), den > 0 and coprime to num, and the negated key
+_Stored = tuple[tuple[int, ...], int, int, bool, tuple[int, ...]]
 # a point as integer numerators over one common denominator
 _IntPoint = tuple[list[int], int]
 
@@ -176,10 +183,36 @@ def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
     return rows
 
 
-def _negate(row: Row) -> Row:
+def _store(coeffs: Sequence[int], num: int, den: int, strict: bool) -> _Stored | None:
+    """``coeffs · x <= num / den`` (``<`` if strict, ``den > 0``) in stored form.
+
+    None if the row holds everywhere; a zero row that holds nowhere is its own opposite.
+    """
+    g = gcd(*coeffs)
+    if g == 0:
+        if num > 0 or (num == 0 and not strict):
+            return None
+        return tuple(coeffs), num, den, strict, tuple(coeffs)
+    if g == 1:
+        key = tuple(coeffs)
+    else:
+        key = tuple([v // g for v in coeffs])
+        den *= g
+    if den != 1 and (h := gcd(num, den)) != 1:
+        num //= h
+        den //= h
+    return key, num, den, strict, tuple([-v for v in key])
+
+
+def _stored_rows(rows: Iterable[Row]) -> list[_Stored]:
+    """The integer rows in stored form, those that hold everywhere left out."""
+    return [s for key, bound, strict in rows if (s := _store(key, bound, 1, strict))]
+
+
+def _negate(row: _Stored) -> _Stored:
     """The row covering the complement of row."""
-    key, bound, strict = row
-    return tuple([-v for v in key]), -bound, not strict
+    key, num, den, strict, neg = row
+    return neg, -num, den, not strict, key
 
 
 def _integer_point(point: Point) -> _IntPoint:
@@ -187,11 +220,11 @@ def _integer_point(point: Point) -> _IntPoint:
     return [x.numerator * (den // x.denominator) for x in point], den
 
 
-def _holds(row: Row, point: _IntPoint) -> bool:
-    key, bound, strict = row
+def _holds(row: _Stored, point: _IntPoint) -> bool:
+    key, num, d, strict, _ = row
     nums, den = point
-    lhs = sum(map(mul, key, nums))
-    rhs = bound * den
+    lhs = sum(map(mul, key, nums)) * d
+    rhs = num * den
     return lhs < rhs if strict else lhs <= rhs
 
 
@@ -203,63 +236,42 @@ class _Infeasible(Exception):
 
 
 class _IneqSystem:
-    """Weak/strict inequality rows, normalized, with dominance pruning.
+    """Weak/strict rows keyed by primitive vector, with dominance pruning.
 
-    Rows are keyed by their primitive integer coefficient vector; for equal
-    directions only the tightest bound is kept, as a reduced pair
-    ``(num, den)`` with ``den > 0``, and bounds are compared by
-    cross-multiplication.  Opposite directions are checked for an empty
-    feasibility window as rows are added, which is what decides an equality,
-    stored as two opposite weak rows.
+    Rows arrive in stored form, normalised once by ``_store`` (a record of
+    the input rows behind a derived row would hang there), and ``add`` is the
+    one way in.  For equal directions only the tightest bound is kept, a
+    reduced ``(num, den)`` with ``den > 0``, compared by cross-multiplication.
+    Opposite directions are checked for an empty feasibility window as rows
+    are added, which is what decides an equality, two opposite weak rows.
     """
 
     def __init__(self) -> None:
         self.rows: dict[tuple[int, ...], tuple[int, int, bool]] = {}
 
-    def add(self, coeffs: Sequence[int], num: int, den: int, strict: bool) -> None:
-        """Add ``coeffs · x <= num / den`` (``<`` if strict), with ``den > 0``."""
-        g = gcd(*coeffs)
-        if g == 0:
-            if num < 0 or (num == 0 and strict):
-                raise _Infeasible
+    def add(self, row: _Stored) -> None:
+        """Add a stored row; raise _Infeasible if it empties the system."""
+        if self.implies(row):
             return
-        if g == 1:
-            key = tuple(coeffs)
-        else:
-            key = tuple([v // g for v in coeffs])
-            den *= g
-        if den != 1 and (h := gcd(num, den)) != 1:
-            num //= h
-            den //= h
-        old = self.rows.get(key)
-        if old is not None:
-            diff = num * old[1] - old[0] * den
-            if diff > 0 or (diff == 0 and (old[2] or not strict)):
-                num, den, strict = old
+        key, num, den, strict, neg = row
         self.rows[key] = (num, den, strict)
-        opp = self.rows.get(tuple([-v for v in key]))
+        opp = self.rows.get(neg)
         if opp is not None:
             # key·x <= num/den and key·x >= -opp_num/opp_den
             width = num * opp[1] + opp[0] * den
             if width < 0 or (width == 0 and (strict or opp[2])):
                 raise _Infeasible
 
-    def implies(self, row: Row) -> bool:
-        """Whether row holds wherever the system does, read off one stored row.
+    def implies(self, row: _Stored) -> bool:
+        """Whether the system keeps row's direction with a bound at least as tight.
 
-        True when row is valid everywhere, or when the system keeps row's
-        primitive direction with a bound at least as tight; no elimination
-        runs, so False proves nothing.
+        One dict lookup; no elimination runs, so False proves nothing.
         """
-        coeffs, num, strict = row
-        g = gcd(*coeffs)
-        if g == 0:
-            return num > 0 or (num == 0 and not strict)
-        old = self.rows.get(tuple([v // g for v in coeffs]))
+        key, num, den, strict, _ = row
+        old = self.rows.get(key)
         if old is None:
             return False
-        # old is num / g or tighter
-        diff = num * old[1] - old[0] * g
+        diff = num * old[1] - old[0] * den
         return diff > 0 or (diff == 0 and (old[2] or not strict))
 
 
@@ -287,17 +299,17 @@ def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSyste
             # an opposite pair cancels to 0 <= ua * (lb + ub), which add's
             # window check already decided
             if any(combined):
-                new.add(combined, ua * ln * ud + la * un * ld, ld * ud, ls or us)
+                new.add(_store(combined, ua * ln * ud + la * un * ld, ld * ud, ls or us))
     return lowers + uppers, new
 
 
-def _extend(system: _IneqSystem, rows: Iterable[Row]) -> _IneqSystem | None:
+def _extend(system: _IneqSystem, rows: Iterable[_Stored]) -> _IneqSystem | None:
     """A copy of system with rows added, or None if adding them proves it empty."""
     new = _IneqSystem()
     new.rows = system.rows.copy()
     try:
-        for key, bound, strict in rows:
-            new.add(key, bound, 1, strict)
+        for row in rows:
+            new.add(row)
     except _Infeasible:
         return None
     return new
@@ -306,7 +318,9 @@ def _extend(system: _IneqSystem, rows: Iterable[Row]) -> _IneqSystem | None:
 def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
     """A point of the system by elimination and back-substitution, or None.
 
-    Elimination builds new systems and leaves this one as it is.
+    Elimination builds new systems and leaves this one as it is.  The last
+    variable is not eliminated: its rows, at most one per direction, are its
+    bounds, and their only pair cancels.
     """
     steps: list[tuple[int, list[_Bounding]]] = []
     try:
@@ -320,7 +334,11 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
                         lows[i] += 1
                     elif v > 0:
                         ups[i] += 1
-            k = min((i for i in range(dim) if lows[i] or ups[i]), key=lambda i: lows[i] * ups[i])
+            active = [i for i in range(dim) if lows[i] or ups[i]]
+            k = min(active, key=lambda i: lows[i] * ups[i])
+            if len(active) == 1:
+                steps.append((k, [(key, *bound) for key, bound in system.rows.items()]))
+                break
             bounding, system = _eliminate(system, k)
             steps.append((k, bounding))
     except _Infeasible:
@@ -365,7 +383,7 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
 
 
 def _solve(
-    system: _IneqSystem, rows: Iterable[Row], dim: int
+    system: _IneqSystem, rows: Iterable[_Stored], dim: int
 ) -> tuple[_IneqSystem, _IntPoint] | None:
     """Solve system with rows added: the extended system and its witness, or None.
 
@@ -382,9 +400,9 @@ def _solve(
 def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
     """Decide a system of mixed strict/weak integer rows exactly; return a witness.
 
-    The rows come from ``integer_rows``.  This is ``_solve`` from the empty
-    system; extraction calls ``_solve`` on each face's stored system
-    instead, so that each test adds only its new rows.
+    The rows come from ``integer_rows``.  This is ``_solve`` of their stored
+    form from the empty system; extraction calls ``_solve`` on each face's
+    system instead, so that each test adds only its new rows.
     Fourier-Motzkin removes the variables one by one in integers, and a
     satisfying rational point is reconstructed by back-substitution through
     the rows that bounded each removed variable, as integer numerators over
@@ -394,7 +412,7 @@ def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
     for key, _, _ in rows:
         if len(key) != dim:
             raise ValueError(f"row has {len(key)} coefficients, expected {dim}")
-    solved = _solve(_IneqSystem(), rows, dim)
+    solved = _solve(_IneqSystem(), _stored_rows(rows), dim)
     if solved is None:
         return None
     nums, den = solved[1]
@@ -441,12 +459,12 @@ def interpret_closure(arr: Arrangement) -> Arrangement:
     return Arrangement(arr.dim, Topology.CLOSED, new_sets)
 
 
-def _set_rows(arr: Arrangement) -> list[list[Row]]:
-    """The rows of each set, under the arrangement topology."""
-    return [integer_rows(interpreted_constraints(p, arr.topology)) for p in arr.sets]
+def _set_rows(arr: Arrangement) -> list[list[_Stored]]:
+    """The stored rows of each set, under the arrangement topology."""
+    return [_stored_rows(integer_rows(interpreted_constraints(p, arr.topology))) for p in arr.sets]
 
 
-def _pattern(sets: Sequence[list[Row]], point: _IntPoint) -> Word:
+def _pattern(sets: Sequence[list[_Stored]], point: _IntPoint) -> Word:
     """The codeword of the sets, given by their rows, containing point."""
     w = 0
     for i, rows in enumerate(sets):
@@ -463,7 +481,7 @@ def membership_pattern(arr: Arrangement, point: Sequence[Fraction]) -> Word:
 
 
 def _atom_search(
-    sets: Sequence[list[Row]],
+    sets: Sequence[list[_Stored]],
     dim: int,
     sigma: Word,
     base: _IneqSystem,
@@ -482,7 +500,7 @@ def _atom_search(
     new row already holds at the current witness needs no new solve, and its
     row waits to be added with the next solve below it.
     """
-    levels: list[list[Row]] = []
+    levels: list[list[_Stored]] = []
     for i, rows in enumerate(sets):
         bit = 1 << i
         if (sigma | apart) & bit:
@@ -491,7 +509,7 @@ def _atom_search(
             levels.append([_negate(r) for r in rows if not base.implies(r)])
 
     def search(
-        level: int, system: _IneqSystem, pending: list[Row], witness: _IntPoint
+        level: int, system: _IneqSystem, pending: list[_Stored], witness: _IntPoint
     ) -> _IntPoint | None:
         if level == len(levels):
             return witness
@@ -505,7 +523,9 @@ def _atom_search(
                 return found
         return None
 
-    return search(0, base, [], base_witness)
+    found = search(0, base, [], base_witness)
+    del search  # its closure holds it: a cycle keeping levels until a full collection
+    return found
 
 
 def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
@@ -575,7 +595,7 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     pool: dict[Word, _IntPoint] = {_pattern(sets, origin): origin}
     # (sigma, top, system of U_sigma once pending is added to it, pending,
     # sets outside sigma known to contain U_sigma, sets known to miss it)
-    queue: deque[tuple[Word, int, _IneqSystem, list[Row], Word, Word]] = deque(
+    queue: deque[tuple[Word, int, _IneqSystem, list[_Stored], Word, Word]] = deque(
         [(0, 0, _IneqSystem(), [], 0, 0)]
     )
     while queue:

@@ -300,12 +300,15 @@ def collapse_to_point(
     visited face sets.  Returns None when no sequence exists or the state
     budget runs out.
     """
-    start = frozenset(cpx.face_set)
-    visited: set[frozenset[Word]] = set()
-    remaining = budget
 
     def is_point(fs: frozenset[Word]) -> bool:
         return len(fs) == 2 and 0 in fs
+
+    start = frozenset(cpx.face_set)
+    if is_point(start):
+        return ()
+    visited: set[frozenset[Word]] = set()
+    remaining = budget
 
     def search(fs: frozenset[Word]) -> list[tuple[Word, Word]] | None:
         nonlocal remaining
@@ -324,12 +327,14 @@ def collapse_to_point(
                 return [(sigma, tau)] + rest
         return None
 
-    if is_point(start):
-        return ()
     try:
         seq = search(start)
     except _BudgetExhausted:
         return None
+    finally:
+        # search's closure holds search and visited: a cycle that would keep
+        # every visited state alive until a full garbage collection
+        del search
     return tuple(seq) if seq is not None else None
 
 

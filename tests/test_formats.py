@@ -4,12 +4,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexcodes import Rel, Topology, neural_code, word
 from convexcodes.formats import (
     ParseError,
+    _parse_number,
     parse_arrangement,
     parse_code,
     serialize_arrangement,
@@ -134,6 +135,38 @@ def test_parse_number_agrees_with_fraction(token):
         return
     got = parse_arrangement(text).sets[0].constraints[0].coeffs[0]
     assert type(got) is Fraction and got == want
+
+
+def oracle_number(token: str) -> Fraction | None:
+    """The number grammar by hand: a sign, ASCII digits, then maybe / and ASCII digits."""
+    num, slash, den = token.partition("/")
+    unsigned = num[1:] if num[:1] in ("+", "-") else num
+
+    def digits(text: str) -> bool:
+        return text != "" and all(c in "0123456789" for c in text)
+
+    if not digits(unsigned) or (slash and (not digits(den) or int(den) == 0)):
+        return None
+    return Fraction(int(num), int(den) if slash else 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="+-0123456789/_.e\u0663\uff11\u00b9", min_size=1, max_size=6))
+@example("+0")
+@example("-0")
+@example("007")
+@example("1_0")
+@example("\u0663")
+@example("-")
+def test_parse_number_matches_the_grammar(token):
+    want = oracle_number(token)
+    if want is None:
+        with pytest.raises(ParseError) as err:
+            _parse_number(token, 4)
+        assert err.value.line == 4 and f"bad number {token!r}" in str(err.value)
+    else:
+        got = _parse_number(token, 4)
+        assert type(got) is Fraction and got == want
 
 
 def test_parse_arrangement_accepts_signed_integers_and_fractions():

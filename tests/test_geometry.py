@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -16,6 +19,8 @@ from convexcodes import (
     Topology,
     TopologyError,
     code_of_arrangement,
+    collapse_to_point,
+    complex_from_faces,
     constraint,
     feasible_point,
     find_atom_point,
@@ -296,8 +301,10 @@ def split_row_systems(draw):
 @example((2, [((1, 1), 2, False), ((-1, -1), -2, False)], [((2, 2), 4, True)]))
 def test_incremental_solve_matches_solve_from_scratch(system):
     dim, base, extra = system
-    whole = geometry._solve(geometry._IneqSystem(), base + extra, dim)
     fresh = feasible_point(base + extra, dim)
+    # the kernel takes rows in stored form
+    base, extra = geometry._stored_rows(base), geometry._stored_rows(extra)
+    whole = geometry._solve(geometry._IneqSystem(), base + extra, dim)
     assert (whole is None) == (fresh is None)
     if whole is not None:
         nums, den = whole[1]
@@ -499,6 +506,87 @@ def test_atom_witnesses_are_sound(corpus_entries, extracted_codes):
                 assert membership_pattern(arr, witness) == w, (real.stem, members(w))
 
 
+def _point_text(point) -> str:
+    return "none" if point is None else ",".join(f"{x.numerator}/{x.denominator}" for x in point)
+
+
+def test_atom_witnesses_are_pinned(corpus_entries, extracted_codes):
+    # pinned witnesses: a change to the kernel that moves any of them shows here
+    digest = hashlib.sha256()
+    for entry in corpus_entries:
+        for real in entry.realizations:
+            arr = real.arrangement
+            for w in extracted_codes[real.stem]:
+                point = _point_text(find_atom_point(arr, w))
+                digest.update(f"{real.stem} {members(w)} {point}\n".encode())
+    assert digest.hexdigest() == "1e6ebac28f9fb71e40c55e16e086c117289d7f72a50520268403cb40cc2ca0d9"
+
+
+def test_feasible_point_witnesses_are_pinned():
+    # strict, weak and equality rows, zero rows among them; 247 of the 400 are feasible
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        cons = [
+            constraint(
+                [rng.randint(-4, 4) for _ in range(dim)],
+                rng.choice(["<=", "<", "="]),
+                rng.randint(-6, 6) if rng.random() < 0.8 else Q(rng.randint(-6, 6), rng.randint(1, 5)),
+            )
+            for _ in range(rng.randint(0, 7))
+        ]
+        digest.update(f"{_point_text(feasible_point(integer_rows(cons), dim))}\n".encode())
+    assert digest.hexdigest() == "7f3aa2ab10a5fa6bb0a1ee4dfa824646e4108fb3ddee39b6b66f25e166c1f796"
+
+
+def test_each_input_row_is_normalised_once(monkeypatch, corpus_entries):
+    # the rows integer_rows makes are normalised by _store once each; the rows
+    # elimination derives are new lists, never an input row's key
+    made = []
+    integer = geometry.integer_rows
+    store = geometry._store
+    stored = Counter()
+
+    def recorded(constraints):
+        rows = integer(constraints)
+        made.extend(rows)
+        return rows
+
+    def counted(coeffs, num, den, strict):
+        stored[id(coeffs)] += 1
+        return store(coeffs, num, den, strict)
+
+    monkeypatch.setattr(geometry, "integer_rows", recorded)
+    monkeypatch.setattr(geometry, "_store", counted)
+    for entry in corpus_entries:
+        for real in entry.realizations:
+            made.clear()
+            stored.clear()
+            code_of_arrangement(real.arrangement)
+            assert made and all(stored[id(key)] == 1 for key, _, _ in made), real.stem
+
+
+def test_extraction_and_collapse_leave_no_reference_cycles(corpus_entries, extracted_codes):
+    # recursive closures must not outlive their call: with the collector off,
+    # a cycle would keep a search's levels or visited states alive
+    path = complex_from_faces(6, [word([1, 5]), word([1, 2]), word([2, 6])])
+    vertex = complex_from_faces(1, [word([1])])
+    gc.collect()
+    gc.disable()
+    try:
+        for entry in corpus_entries:
+            for real in entry.realizations:
+                code_of_arrangement(real.arrangement)
+                for w in extracted_codes[real.stem]:
+                    find_atom_point(real.arrangement, w)
+        assert collapse_to_point(path)
+        assert collapse_to_point(vertex) == ()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_code_invariant_under_constraint_noise():
     rng = random.Random(20240)
     for build in (sunflower3_realization, fan6_realization):
@@ -569,7 +657,7 @@ def test_feasible_point_builds_only_its_witness(monkeypatch, corpus_entries):
         code_of_arrangement(arr)
     assert per_call and not any(per_call)
     for arr in arrangements:
-        sets = geometry._set_rows(arr)
+        sets = [integer_rows(interpreted_constraints(p, arr.topology)) for p in arr.sets]
         for sigma in range(1 << arr.n):
             before = built
             feasible_point([r for i in members(sigma) for r in sets[i - 1]], arr.dim)
