@@ -12,12 +12,16 @@ swap of fields, so solves, implication tests and atom branches normalise
 nothing; only rows elimination derives are normalised as they appear.
 Feasibility is Fourier-Motzkin elimination on these rows in integers, exact
 with mixed strict/weak rows, which is what lets a single engine decide both
-open and closed semantics.  Back-substitution builds the witness as
-integers over one common denominator; Fractions appear again only in the
-point ``feasible_point`` returns.  Membership evaluates rows in integers at
-such a witness.  A solve is incremental: it copies a system, adds only its
-new rows (which alone may prove it empty), then eliminates, and the
-extended system is kept for the solves that build on it.
+open and closed semantics.  Only eliminations with more than two variables
+left store derived rows; the last folds each row pair straight into a bound
+on the other variable.  One fold, the tightest lower and upper bound with
+strict winning a tie, decides that last window and picks each coordinate in
+back-substitution, as integers over one common denominator; Fractions
+appear again only in the point ``feasible_point`` returns.  Membership
+evaluates rows in integers at such a witness.  A solve is incremental: it
+copies a system, adds only its new rows (which alone may prove it empty),
+then eliminates, and the extended system is kept for the solves that build
+on it.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -279,18 +283,22 @@ class _IneqSystem:
 _Bounding = tuple[tuple[int, ...], int, int, bool]
 
 
-def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSystem]:
-    """Remove x_k: the rows that bound it, and the system they imply without it."""
+def _split(system: _IneqSystem, k: int) -> tuple[list[_Bounding], ...]:
+    """The rows of system that bound x_k from below, from above, and the others."""
     lowers: list[_Bounding] = []
     uppers: list[_Bounding] = []
-    new = _IneqSystem()
+    others: list[_Bounding] = []
     for key, (n, d, s) in system.rows.items():
-        if key[k] < 0:
-            lowers.append((key, n, d, s))
-        elif key[k] > 0:
-            uppers.append((key, n, d, s))
-        else:
-            new.rows[key] = (n, d, s)
+        a = key[k]
+        (lowers if a < 0 else uppers if a > 0 else others).append((key, n, d, s))
+    return lowers, uppers, others
+
+
+def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSystem]:
+    """Remove x_k: the rows that bound it, and the system they imply without it."""
+    lowers, uppers, others = _split(system, k)
+    new = _IneqSystem()
+    new.rows = {key: (n, d, s) for key, n, d, s in others}
     for lkey, ln, ld, ls in lowers:
         la = -lkey[k]
         for ukey, un, ud, us in uppers:
@@ -315,14 +323,54 @@ def _extend(system: _IneqSystem, rows: Iterable[_Stored]) -> _IneqSystem | None:
     return new
 
 
+def _fold(bounds: Iterable[tuple[int, int, bool]]) -> tuple[int, int]:
+    """A value ``vn / vd`` (reduced, ``vd > 0``) of x within bounds ``q·x <= n``, ``q != 0``.
+
+    The tightest lower and upper bound are kept, strict winning a tie, and x
+    is their midpoint, or the one bound that exists (moved inside by 1 if
+    strict), or 0.  Raises _Infeasible if the two leave an empty window.
+    """
+    lo: tuple[int, int, bool] | None = None
+    hi: tuple[int, int, bool] | None = None
+    for n, q, s in bounds:
+        if q < 0:
+            n, q = -n, -q  # x >= n/q
+            if lo is None or (diff := n * lo[1] - lo[0] * q) > 0 or (diff == 0 and s):
+                lo = (n, q, s)
+        elif hi is None or (diff := n * hi[1] - hi[0] * q) < 0 or (diff == 0 and s):
+            hi = (n, q, s)
+    if hi is None:
+        if lo is None:
+            return 0, 1
+        vn, vd = (lo[0] + lo[1] if lo[2] else lo[0]), lo[1]
+    elif lo is None:
+        vn, vd = (hi[0] - hi[1] if hi[2] else hi[0]), hi[1]
+    else:
+        width = hi[0] * lo[1] - lo[0] * hi[1]
+        if width < 0 or (width == 0 and (lo[2] or hi[2])):
+            raise _Infeasible
+        if width == 0:
+            vn, vd = lo[0], lo[1]
+        else:
+            vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+    g = gcd(vn, vd)
+    return vn // g, vd // g
+
+
 def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
     """A point of the system by elimination and back-substitution, or None.
 
-    Elimination builds new systems and leaves this one as it is.  The last
-    variable is not eliminated: its rows, at most one per direction, are its
-    bounds, and their only pair cancels.
+    While more than two variables are active, ``_eliminate`` removes one
+    into a new system and leaves this one as it is.  The last two, x_k and
+    x_j, build no system: each lower × upper pair of x_k's rows combines
+    straight into a bound on x_j, and ``_fold`` picks x_j within those and
+    the rows without x_k, or proves the window empty.  Then x_k (or a lone
+    active variable) and the eliminated variables, last first, are picked by
+    the same fold over the rows that bound each.
     """
     steps: list[tuple[int, list[_Bounding]]] = []
+    nums = [0] * dim
+    den = 1
     try:
         while system.rows:
             # eliminate the variable with the fewest lower × upper row pairs
@@ -336,44 +384,34 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
                         ups[i] += 1
             active = [i for i in range(dim) if lows[i] or ups[i]]
             k = min(active, key=lambda i: lows[i] * ups[i])
-            if len(active) == 1:
-                steps.append((k, [(key, *bound) for key, bound in system.rows.items()]))
-                break
-            bounding, system = _eliminate(system, k)
-            steps.append((k, bounding))
+            if len(active) > 2:
+                bounding, system = _eliminate(system, k)
+                steps.append((k, bounding))
+                continue
+            lowers, uppers, others = _split(system, k)
+            if len(active) == 2:
+                # x_k's row pairs give q·x_j <= n; opposite rows cancel, as add decided
+                j = active[0] + active[1] - k
+                bounds = [(n, d * key[j], s) for key, n, d, s in others]
+                for lkey, ln, ld, ls in lowers:
+                    la = -lkey[k]
+                    for ukey, un, ud, us in uppers:
+                        ua = ukey[k]
+                        if q := ua * lkey[j] + la * ukey[j]:
+                            bounds.append((ua * ln * ud + la * un * ld, q * ld * ud, ls or us))
+                nums[j], den = _fold(bounds)
+            steps.append((k, lowers + uppers))
+            break
     except _Infeasible:
         return None
-
     # the witness is nums / den, den the lcm of the coordinates' denominators;
-    # x_k is still 0 while its bounds are read
-    nums = [0] * dim
-    den = 1
+    # x_k is still 0 while its bounds are computed, and their window is not empty
     for k, bounding in reversed(steps):
-        lo: tuple[int, int, bool] | None = None
-        hi: tuple[int, int, bool] | None = None
-        for key, n, d, s in bounding:
-            # key·x <= n/d bounds x_k by (n/d - rest/den) / key[k]
-            a = key[k]
-            cn = n * den - d * sum(map(mul, key, nums))
-            cd = d * den * a
-            if a < 0:
-                cn, cd = -cn, -cd  # a lower bound
-                if lo is None or (diff := cn * lo[1] - lo[0] * cd) > 0 or (diff == 0 and s):
-                    lo = (cn, cd, s)
-            elif hi is None or (diff := cn * hi[1] - hi[0] * cd) < 0 or (diff == 0 and s):
-                hi = (cn, cd, s)
-        if lo is None:
-            assert hi is not None
-            vn, vd = (hi[0] - hi[1] if hi[2] else hi[0]), hi[1]
-        elif hi is None:
-            vn, vd = (lo[0] + lo[1] if lo[2] else lo[0]), lo[1]
-        elif lo[0] * hi[1] == hi[0] * lo[1]:
-            vn, vd = lo[0], lo[1]
-        else:
-            vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-        g = gcd(vn, vd)
-        vn //= g
-        vd //= g
+        # key·x <= n/d bounds x_k by d·den·key[k]·x_k <= n·den - d·(key·nums)
+        vn, vd = _fold(
+            [(n * den - d * sum(map(mul, key, nums)), d * den * key[k], s)
+             for key, n, d, s in bounding]
+        )
         if den % vd:
             scale = vd // gcd(den, vd)
             nums = [v * scale for v in nums]
@@ -403,7 +441,8 @@ def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
     The rows come from ``integer_rows``.  This is ``_solve`` of their stored
     form from the empty system; extraction calls ``_solve`` on each face's
     system instead, so that each test adds only its new rows.
-    Fourier-Motzkin removes the variables one by one in integers, and a
+    Fourier-Motzkin removes the variables one by one in integers, the last
+    two by folding row pairs into bounds that are not stored, and a
     satisfying rational point is reconstructed by back-substitution through
     the rows that bounded each removed variable, as integer numerators over
     one common denominator; the Fractions of the returned point are the only

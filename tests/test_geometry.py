@@ -271,9 +271,12 @@ def test_feasible_point_matches_substitution_oracle(system):
 @st.composite
 def split_row_systems(draw):
     """Integer rows cut into a base and extra rows, with the cases the kernel
-    treats apart: strict rows, equality pairs, all-zero rows, and a direction
-    repeated with another scale and a tighter or looser bound."""
-    dim = draw(st.integers(1, 3))
+    treats apart: strict rows, equality pairs, all-zero rows, a direction
+    repeated with another scale and a tighter or looser bound, and variables
+    no row uses."""
+    dim = draw(st.integers(1, 4))
+    unused = draw(st.sets(st.integers(0, dim - 1), max_size=dim - 1))
+    coefficient = st.integers(-3, 3)
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(["row", "equality", "zero", "repeat"]))
@@ -285,7 +288,7 @@ def split_row_systems(draw):
             m = draw(st.integers(1, 3))
             key, bound = tuple(m * v for v in key0), m * bound0 + draw(st.integers(-2, 2))
         else:
-            key = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+            key = tuple(0 if i in unused else draw(coefficient) for i in range(dim))
         if kind == "equality":
             rows += [(tuple(-v for v in key), -bound, False), (key, bound, False)]
         else:
@@ -327,6 +330,116 @@ def test_incremental_solve_matches_solve_from_scratch(system):
         # a row the base implies leaves its negation nothing to solve
         if base_system.implies(row):
             assert geometry._solve(base_system, [geometry._negate(row)], dim) is None
+
+
+def reference_witness(system, dim):
+    """``_witness`` as it was before the last elimination became a fold: every
+    variable but the last is eliminated into a stored system, and the last
+    one's bounds are read off that system's rows."""
+    steps = []
+    try:
+        while system.rows:
+            lows = [0] * dim
+            ups = [0] * dim
+            for key in system.rows:
+                for i, v in enumerate(key):
+                    if v < 0:
+                        lows[i] += 1
+                    elif v > 0:
+                        ups[i] += 1
+            active = [i for i in range(dim) if lows[i] or ups[i]]
+            k = min(active, key=lambda i: lows[i] * ups[i])
+            if len(active) == 1:
+                steps.append((k, [(key, *bound) for key, bound in system.rows.items()]))
+                break
+            bounding, system = geometry._eliminate(system, k)
+            steps.append((k, bounding))
+    except geometry._Infeasible:
+        return None
+    nums = [0] * dim
+    den = 1
+    for k, bounding in reversed(steps):
+        lo = hi = None
+        for key, n, d, s in bounding:
+            a = key[k]
+            cn = n * den - d * sum(v * x for v, x in zip(key, nums))
+            cd = d * den * a
+            if a < 0:
+                cn, cd = -cn, -cd
+                if lo is None or (diff := cn * lo[1] - lo[0] * cd) > 0 or (diff == 0 and s):
+                    lo = (cn, cd, s)
+            elif hi is None or (diff := cn * hi[1] - hi[0] * cd) < 0 or (diff == 0 and s):
+                hi = (cn, cd, s)
+        if lo is None:
+            vn, vd = (hi[0] - hi[1] if hi[2] else hi[0]), hi[1]
+        elif hi is None:
+            vn, vd = (lo[0] + lo[1] if lo[2] else lo[0]), lo[1]
+        elif lo[0] * hi[1] == hi[0] * lo[1]:
+            vn, vd = lo[0], lo[1]
+        else:
+            vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
+        g = gcd(vn, vd)
+        vn //= g
+        vd //= g
+        if den % vd:
+            scale = vd // gcd(den, vd)
+            nums = [v * scale for v in nums]
+            den *= scale
+        nums[k] = vn * (den // vd)
+    return nums, den
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_row_systems())
+# one active variable: its rows are its bounds
+@example((2, [((1, 0), 3, False), ((-1, 0), 1, True)], [((2, 0), 5, True)]))
+# x_1 eliminated: x_0 <= 0 from a pair, x_0 >= 0 from a row, the pair strict
+@example((2, [((1, 1), 0, False), ((-1, 0), 0, False)], [((1, -1), 0, True)]))
+# an opposite pair of x_1's rows cancels, and x_0 is left with one bound
+@example((2, [((1, 1), 2, False), ((-1, -1), -1, False)], [((1, 0), 0, False)]))
+# an equality on two variables: its pair cancels and x_0 is unbounded
+@example((3, [((0, -1, -1), -1, False), ((0, 1, 1), 1, False)], []))
+def test_witness_matches_always_eliminating_reference(system):
+    dim, base, extra = system
+    stored = geometry._extend(geometry._IneqSystem(), geometry._stored_rows(base + extra))
+    if stored is None:
+        return  # the adds alone decide it; no witness is sought
+    kept = list(stored.rows.items())
+    assert geometry._witness(stored, dim) == reference_witness(stored, dim)
+    assert list(stored.rows.items()) == kept
+
+
+def test_plane_solves_derive_no_rows(monkeypatch, corpus_entries):
+    # in the plane the last elimination is the only one, so no solve
+    # eliminates into a system and _store sees only the rows integer_rows makes
+    made = []
+    integer = geometry.integer_rows
+    store = geometry._store
+    stored = Counter()
+
+    def recorded(constraints):
+        rows = integer(constraints)
+        made.extend(rows)
+        return rows
+
+    def counted(coeffs, num, den, strict):
+        stored[id(coeffs)] += 1
+        return store(coeffs, num, den, strict)
+
+    def forbidden(system, k):
+        raise AssertionError("_eliminate called on a system in the plane")
+
+    monkeypatch.setattr(geometry, "integer_rows", recorded)
+    monkeypatch.setattr(geometry, "_store", counted)
+    monkeypatch.setattr(geometry, "_eliminate", forbidden)
+    planar = [(e, r) for e in corpus_entries for r in e.realizations if r.arrangement.dim == 2]
+    assert len(planar) == 14
+    for entry, real in planar:
+        made.clear()
+        stored.clear()
+        assert code_of_arrangement(real.arrangement) == entry.code, real.stem
+        assert sum(stored.values()) == len(made), real.stem
+        assert all(stored[id(key)] == 1 for key, _, _ in made), real.stem
 
 
 def test_feasible_point_witnesses_satisfy_system():
