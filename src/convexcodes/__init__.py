@@ -40,7 +40,6 @@ from .geometry import (
     feasible_point,
     find_atom_point,
     integer_rows,
-    interpret_closure,
     line_meets,
     membership_pattern,
     point_satisfies,

@@ -32,9 +32,7 @@ from .formats import (
     serialize_code,
 )
 from .generators import (
-    CorpusEntry,
-    corpus_entry,
-    corpus_names,
+    corpus,
     gen_an,
     gen_cn,
     gen_sn,
@@ -219,19 +217,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
             files.append(
                 (f"{family}_{args.realization}_{n}.arr", serialize_arrangement(builder(n)))
             )
-    elif family in corpus_names():
+    else:
+        # one corpus() call: it builds every entry's code and realizations
+        entry = next((e for e in corpus() if e.name == family), None)
+        if entry is None:
+            raise ValueError(f"unknown family {family!r}")
         if args.n is not None:
             raise ValueError(f"corpus entry {family!r} does not take --n")
         if args.realization is not None:
             raise ValueError(f"corpus entry {family!r} does not take --realization")
-        entry: CorpusEntry = corpus_entry(family)
         files = [(f"{entry.name}.code", serialize_code(entry.code))]
         files += [
             (f"{real.stem}.arr", serialize_arrangement(real.arrangement))
             for real in entry.realizations
         ]
-    else:
-        raise ValueError(f"unknown family {family!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files:

@@ -4,24 +4,12 @@ Sets are H-representations: lists of linear constraints ``a·x <= b``,
 ``a·x < b``, or ``a·x = b`` with Fraction coefficients, as in the files and
 the API.  ``integer_rows`` scales them to integer rows: an integer
 coefficient vector, an integer bound and a strict flag, an equality being
-two opposite weak rows.  The engine normalises each input row once into the
-form its systems store: the primitive vector, the bound as a reduced
-num/den, the strict flag and the negated vector, the key of the opposite
-row.  A row's negation is that opposite row with the strictness flipped, a
-swap of fields, so solves, implication tests and atom branches normalise
-nothing; only rows elimination derives are normalised as they appear.
-Feasibility is Fourier-Motzkin elimination on these rows in integers, exact
-with mixed strict/weak rows, which is what lets a single engine decide both
-open and closed semantics.  Only eliminations with more than two variables
-left store derived rows; the last folds each row pair straight into a bound
-on the other variable.  One fold, the tightest lower and upper bound with
-strict winning a tie, decides that last window and picks each coordinate in
-back-substitution, as integers over one common denominator; Fractions
-appear again only in the point ``feasible_point`` returns.  Membership
-evaluates rows in integers at such a witness.  A solve is incremental: it
-copies a system, adds only its new rows (which alone may prove it empty),
-then eliminates, and the extended system is kept for the solves that build
-on it.
+two opposite weak rows.  Feasibility is the exact Fourier-Motzkin kernel of
+``fm``, which decides both open and closed semantics on these rows in
+integers.  An arrangement hands each of its rows to the kernel's stored form
+once, on first use, and every query on it reuses them.  Membership evaluates
+rows in integers at a kernel witness; Fractions appear again only in the
+points the API returns.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -47,20 +35,17 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cached_property
+from math import lcm
 from operator import eq, le, lt, mul
 from typing import Iterable, Sequence
 
 from .codes import NeuralCode, Word, full_word, members
+from .fm import _extend, _holds, _IneqSystem, _IntPoint, _negate, _solve, _Stored, _stored_rows
 
 Point = tuple[Fraction, ...]
 # ``key · x <= bound`` (``<`` if strict), key an integer vector, bound an integer
 Row = tuple[tuple[int, ...], int, bool]
-# ``key · x <= num / den`` as a system stores it: key primitive (or zero, for
-# a row that holds nowhere), den > 0 and coprime to num, and the negated key
-_Stored = tuple[tuple[int, ...], int, int, bool, tuple[int, ...]]
-# a point as integer numerators over one common denominator
-_IntPoint = tuple[list[int], int]
 
 
 class Rel(Enum):
@@ -145,6 +130,13 @@ class Arrangement:
     def n(self) -> int:
         return len(self.sets)
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[_Stored, ...], ...]:
+        """The stored rows of each set under the topology, built on first use."""
+        return tuple(
+            _stored_rows(integer_rows(interpreted_constraints(p, self.topology))) for p in self.sets
+        )
+
 
 def interpreted_constraints(
     poly: Polyhedron, topology: Topology
@@ -187,252 +179,9 @@ def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
     return rows
 
 
-def _store(coeffs: Sequence[int], num: int, den: int, strict: bool) -> _Stored | None:
-    """``coeffs · x <= num / den`` (``<`` if strict, ``den > 0``) in stored form.
-
-    None if the row holds everywhere; a zero row that holds nowhere is its own opposite.
-    """
-    g = gcd(*coeffs)
-    if g == 0:
-        if num > 0 or (num == 0 and not strict):
-            return None
-        return tuple(coeffs), num, den, strict, tuple(coeffs)
-    if g == 1:
-        key = tuple(coeffs)
-    else:
-        key = tuple([v // g for v in coeffs])
-        den *= g
-    if den != 1 and (h := gcd(num, den)) != 1:
-        num //= h
-        den //= h
-    return key, num, den, strict, tuple([-v for v in key])
-
-
-def _stored_rows(rows: Iterable[Row]) -> list[_Stored]:
-    """The integer rows in stored form, those that hold everywhere left out."""
-    return [s for key, bound, strict in rows if (s := _store(key, bound, 1, strict))]
-
-
-def _negate(row: _Stored) -> _Stored:
-    """The row covering the complement of row."""
-    key, num, den, strict, neg = row
-    return neg, -num, den, not strict, key
-
-
 def _integer_point(point: Point) -> _IntPoint:
     den = lcm(*(x.denominator for x in point))
     return [x.numerator * (den // x.denominator) for x in point], den
-
-
-def _holds(row: _Stored, point: _IntPoint) -> bool:
-    key, num, d, strict, _ = row
-    nums, den = point
-    lhs = sum(map(mul, key, nums)) * d
-    rhs = num * den
-    return lhs < rhs if strict else lhs <= rhs
-
-
-# --- Fourier-Motzkin feasibility -------------------------------------------------
-
-
-class _Infeasible(Exception):
-    pass
-
-
-class _IneqSystem:
-    """Weak/strict rows keyed by primitive vector, with dominance pruning.
-
-    Rows arrive in stored form, normalised once by ``_store`` (a record of
-    the input rows behind a derived row would hang there), and ``add`` is the
-    one way in.  For equal directions only the tightest bound is kept, a
-    reduced ``(num, den)`` with ``den > 0``, compared by cross-multiplication.
-    Opposite directions are checked for an empty feasibility window as rows
-    are added, which is what decides an equality, two opposite weak rows.
-    """
-
-    def __init__(self) -> None:
-        self.rows: dict[tuple[int, ...], tuple[int, int, bool]] = {}
-
-    def add(self, row: _Stored) -> None:
-        """Add a stored row; raise _Infeasible if it empties the system."""
-        if self.implies(row):
-            return
-        key, num, den, strict, neg = row
-        self.rows[key] = (num, den, strict)
-        opp = self.rows.get(neg)
-        if opp is not None:
-            # key·x <= num/den and key·x >= -opp_num/opp_den
-            width = num * opp[1] + opp[0] * den
-            if width < 0 or (width == 0 and (strict or opp[2])):
-                raise _Infeasible
-
-    def implies(self, row: _Stored) -> bool:
-        """Whether the system keeps row's direction with a bound at least as tight.
-
-        One dict lookup; no elimination runs, so False proves nothing.
-        """
-        key, num, den, strict, _ = row
-        old = self.rows.get(key)
-        if old is None:
-            return False
-        diff = num * old[1] - old[0] * den
-        return diff > 0 or (diff == 0 and (old[2] or not strict))
-
-
-# a row of an _IneqSystem: primitive key, bound numerator and denominator, strict
-_Bounding = tuple[tuple[int, ...], int, int, bool]
-
-
-def _split(system: _IneqSystem, k: int) -> tuple[list[_Bounding], ...]:
-    """The rows of system that bound x_k from below, from above, and the others."""
-    lowers: list[_Bounding] = []
-    uppers: list[_Bounding] = []
-    others: list[_Bounding] = []
-    for key, (n, d, s) in system.rows.items():
-        a = key[k]
-        (lowers if a < 0 else uppers if a > 0 else others).append((key, n, d, s))
-    return lowers, uppers, others
-
-
-def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSystem]:
-    """Remove x_k: the rows that bound it, and the system they imply without it."""
-    lowers, uppers, others = _split(system, k)
-    new = _IneqSystem()
-    new.rows = {key: (n, d, s) for key, n, d, s in others}
-    for lkey, ln, ld, ls in lowers:
-        la = -lkey[k]
-        for ukey, un, ud, us in uppers:
-            ua = ukey[k]
-            combined = [ua * lv + la * uv for lv, uv in zip(lkey, ukey)]
-            # an opposite pair cancels to 0 <= ua * (lb + ub), which add's
-            # window check already decided
-            if any(combined):
-                new.add(_store(combined, ua * ln * ud + la * un * ld, ld * ud, ls or us))
-    return lowers + uppers, new
-
-
-def _extend(system: _IneqSystem, rows: Iterable[_Stored]) -> _IneqSystem | None:
-    """A copy of system with rows added, or None if adding them proves it empty."""
-    new = _IneqSystem()
-    new.rows = system.rows.copy()
-    try:
-        for row in rows:
-            new.add(row)
-    except _Infeasible:
-        return None
-    return new
-
-
-def _fold(bounds: Iterable[tuple[int, int, bool]]) -> tuple[int, int]:
-    """A value ``vn / vd`` (reduced, ``vd > 0``) of x within bounds ``q·x <= n``, ``q != 0``.
-
-    The tightest lower and upper bound are kept, strict winning a tie, and x
-    is their midpoint, or the one bound that exists (moved inside by 1 if
-    strict), or 0.  Raises _Infeasible if the two leave an empty window.
-    """
-    lo: tuple[int, int, bool] | None = None
-    hi: tuple[int, int, bool] | None = None
-    for n, q, s in bounds:
-        if q < 0:
-            n, q = -n, -q  # x >= n/q
-            if lo is None or (diff := n * lo[1] - lo[0] * q) > 0 or (diff == 0 and s):
-                lo = (n, q, s)
-        elif hi is None or (diff := n * hi[1] - hi[0] * q) < 0 or (diff == 0 and s):
-            hi = (n, q, s)
-    if hi is None:
-        if lo is None:
-            return 0, 1
-        vn, vd = (lo[0] + lo[1] if lo[2] else lo[0]), lo[1]
-    elif lo is None:
-        vn, vd = (hi[0] - hi[1] if hi[2] else hi[0]), hi[1]
-    else:
-        width = hi[0] * lo[1] - lo[0] * hi[1]
-        if width < 0 or (width == 0 and (lo[2] or hi[2])):
-            raise _Infeasible
-        if width == 0:
-            vn, vd = lo[0], lo[1]
-        else:
-            vn, vd = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
-    g = gcd(vn, vd)
-    return vn // g, vd // g
-
-
-def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
-    """A point of the system by elimination and back-substitution, or None.
-
-    While more than two variables are active, ``_eliminate`` removes one
-    into a new system and leaves this one as it is.  The last two, x_k and
-    x_j, build no system: each lower × upper pair of x_k's rows combines
-    straight into a bound on x_j, and ``_fold`` picks x_j within those and
-    the rows without x_k, or proves the window empty.  Then x_k (or a lone
-    active variable) and the eliminated variables, last first, are picked by
-    the same fold over the rows that bound each.
-    """
-    steps: list[tuple[int, list[_Bounding]]] = []
-    nums = [0] * dim
-    den = 1
-    try:
-        while system.rows:
-            # eliminate the variable with the fewest lower × upper row pairs
-            lows = [0] * dim
-            ups = [0] * dim
-            for key in system.rows:
-                for i, v in enumerate(key):
-                    if v < 0:
-                        lows[i] += 1
-                    elif v > 0:
-                        ups[i] += 1
-            active = [i for i in range(dim) if lows[i] or ups[i]]
-            k = min(active, key=lambda i: lows[i] * ups[i])
-            if len(active) > 2:
-                bounding, system = _eliminate(system, k)
-                steps.append((k, bounding))
-                continue
-            lowers, uppers, others = _split(system, k)
-            if len(active) == 2:
-                # x_k's row pairs give q·x_j <= n; opposite rows cancel, as add decided
-                j = active[0] + active[1] - k
-                bounds = [(n, d * key[j], s) for key, n, d, s in others]
-                for lkey, ln, ld, ls in lowers:
-                    la = -lkey[k]
-                    for ukey, un, ud, us in uppers:
-                        ua = ukey[k]
-                        if q := ua * lkey[j] + la * ukey[j]:
-                            bounds.append((ua * ln * ud + la * un * ld, q * ld * ud, ls or us))
-                nums[j], den = _fold(bounds)
-            steps.append((k, lowers + uppers))
-            break
-    except _Infeasible:
-        return None
-    # the witness is nums / den, den the lcm of the coordinates' denominators;
-    # x_k is still 0 while its bounds are computed, and their window is not empty
-    for k, bounding in reversed(steps):
-        # key·x <= n/d bounds x_k by d·den·key[k]·x_k <= n·den - d·(key·nums)
-        vn, vd = _fold(
-            [(n * den - d * sum(map(mul, key, nums)), d * den * key[k], s)
-             for key, n, d, s in bounding]
-        )
-        if den % vd:
-            scale = vd // gcd(den, vd)
-            nums = [v * scale for v in nums]
-            den *= scale
-        nums[k] = vn * (den // vd)
-    return nums, den
-
-
-def _solve(
-    system: _IneqSystem, rows: Iterable[_Stored], dim: int
-) -> tuple[_IneqSystem, _IntPoint] | None:
-    """Solve system with rows added: the extended system and its witness, or None.
-
-    Every Fourier-Motzkin solve runs through here.  The witness's
-    denominator is the lcm of its coordinates' reduced denominators.
-    """
-    extended = _extend(system, rows)
-    if extended is None:
-        return None
-    w = _witness(extended, dim)
-    return None if w is None else (extended, w)
 
 
 def feasible_point(rows: Sequence[Row], dim: int) -> Point | None:
@@ -477,33 +226,7 @@ def point_satisfies(constraints: Iterable[LinearConstraint], point: Sequence[Fra
     )
 
 
-def interpret_closure(arr: Arrangement) -> Arrangement:
-    """Read every constraint of an open arrangement weakly.
-
-    The result realizes the closures of the original sets; its code may
-    differ from the open code and is not checked here.
-    """
-    if arr.topology is not Topology.OPEN:
-        raise ValueError("interpret_closure expects an open arrangement")
-    new_sets = tuple(
-        Polyhedron(
-            p.dim,
-            tuple(
-                LinearConstraint(c.coeffs, Rel.LE if c.rel is Rel.LT else c.rel, c.bound)
-                for c in p.constraints
-            ),
-        )
-        for p in arr.sets
-    )
-    return Arrangement(arr.dim, Topology.CLOSED, new_sets)
-
-
-def _set_rows(arr: Arrangement) -> list[list[_Stored]]:
-    """The stored rows of each set, under the arrangement topology."""
-    return [_stored_rows(integer_rows(interpreted_constraints(p, arr.topology))) for p in arr.sets]
-
-
-def _pattern(sets: Sequence[list[_Stored]], point: _IntPoint) -> Word:
+def _pattern(sets: Sequence[Sequence[_Stored]], point: _IntPoint) -> Word:
     """The codeword of the sets, given by their rows, containing point."""
     w = 0
     for i, rows in enumerate(sets):
@@ -516,11 +239,11 @@ def membership_pattern(arr: Arrangement, point: Sequence[Fraction]) -> Word:
     """The codeword of sets containing the point under the arrangement topology."""
     if len(point) != arr.dim:
         raise ValueError(f"point has {len(point)} coordinates, expected {arr.dim}")
-    return _pattern(_set_rows(arr), _integer_point(tuple(_frac(x) for x in point)))
+    return _pattern(arr._rows, _integer_point(tuple(_frac(x) for x in point)))
 
 
 def _atom_search(
-    sets: Sequence[list[_Stored]],
+    sets: Sequence[Sequence[_Stored]],
     dim: int,
     sigma: Word,
     base: _IneqSystem,
@@ -571,7 +294,7 @@ def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
     """A rational point whose membership pattern is exactly sigma, or None."""
     if sigma & ~full_word(arr.n):
         raise ValueError(f"pattern uses sets beyond the arrangement's {arr.n}")
-    sets = _set_rows(arr)
+    sets = arr._rows
     solved = _solve(_IneqSystem(), [r for i in members(sigma) for r in sets[i - 1]], arr.dim)
     if solved is None:
         return None
@@ -628,13 +351,13 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     """
     if arr.n > 20:
         raise ValueError(f"arrangement has {arr.n} sets; extraction is capped at 20")
-    sets = _set_rows(arr)
+    sets = arr._rows
     dim = arr.dim
     origin = ([0] * dim, 1)
     pool: dict[Word, _IntPoint] = {_pattern(sets, origin): origin}
     # (sigma, top, system of U_sigma once pending is added to it, pending,
     # sets outside sigma known to contain U_sigma, sets known to miss it)
-    queue: deque[tuple[Word, int, _IneqSystem, list[_Stored], Word, Word]] = deque(
+    queue: deque[tuple[Word, int, _IneqSystem, Sequence[_Stored], Word, Word]] = deque(
         [(0, 0, _IneqSystem(), [], 0, 0)]
     )
     while queue:
@@ -741,7 +464,6 @@ __all__ = [
     "feasible_point",
     "find_atom_point",
     "integer_rows",
-    "interpret_closure",
     "interpreted_constraints",
     "line_meets",
     "membership_pattern",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from convexcodes import cli
+from convexcodes import cli, generators
 from convexcodes.cli import build_analysis, main
 from convexcodes.codes import (
     NeuralCode,
@@ -199,6 +199,24 @@ def test_gen_corpus_entry(tmp_path, capsys):
     assert len(shipped) == 34
     for name in shipped:
         assert (tmp_path / name).read_bytes() == (CORPUS / name).read_bytes(), name
+
+
+def test_gen_corpus_entry_builds_the_corpus_once(tmp_path, capsys, monkeypatch):
+    calls = 0
+    build = generators.corpus
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return build()
+
+    # counted whether cli calls it by its own name or through generators
+    monkeypatch.setattr(generators, "corpus", counted)
+    monkeypatch.setattr(cli, "corpus", counted, raising=False)
+    status, _, err = run(capsys, "gen", "fan8", "--out", str(tmp_path))
+    assert status == 0 and not err
+    assert calls == 1
+    assert (tmp_path / "fan8.arr").read_bytes() == (CORPUS / "fan8.arr").read_bytes()
 
 
 def test_gen_errors(tmp_path, capsys):

@@ -25,7 +25,6 @@ from convexcodes import (
     feasible_point,
     find_atom_point,
     integer_rows,
-    interpret_closure,
     line_meets,
     membership_pattern,
     members,
@@ -35,7 +34,7 @@ from convexcodes import (
     restrict,
     word,
 )
-from convexcodes import geometry
+from convexcodes import fm, geometry
 from convexcodes.geometry import interpreted_constraints
 from convexcodes.generators import (
     boxes6_realization,
@@ -306,13 +305,13 @@ def test_incremental_solve_matches_solve_from_scratch(system):
     dim, base, extra = system
     fresh = feasible_point(base + extra, dim)
     # the kernel takes rows in stored form
-    base, extra = geometry._stored_rows(base), geometry._stored_rows(extra)
-    whole = geometry._solve(geometry._IneqSystem(), base + extra, dim)
+    base, extra = fm._stored_rows(base), fm._stored_rows(extra)
+    whole = fm._solve(fm._IneqSystem(), base + extra, dim)
     assert (whole is None) == (fresh is None)
     if whole is not None:
         nums, den = whole[1]
         assert tuple(Fraction(v, den) for v in nums) == fresh
-    base_system = geometry._extend(geometry._IneqSystem(), base)
+    base_system = fm._extend(fm._IneqSystem(), base)
     if base_system is None:
         # the adds alone prove the base, and so the whole, empty
         assert whole is None
@@ -320,7 +319,7 @@ def test_incremental_solve_matches_solve_from_scratch(system):
     # the base's own rows are read off its system with no solve
     assert all(base_system.implies(row) for row in base)
     kept = list(base_system.rows.items())
-    part = geometry._solve(base_system, extra, dim)
+    part = fm._solve(base_system, extra, dim)
     assert list(base_system.rows.items()) == kept
     assert (part is None) == (whole is None)
     if part is not None:
@@ -329,7 +328,7 @@ def test_incremental_solve_matches_solve_from_scratch(system):
     for row in base + extra:
         # a row the base implies leaves its negation nothing to solve
         if base_system.implies(row):
-            assert geometry._solve(base_system, [geometry._negate(row)], dim) is None
+            assert fm._solve(base_system, [fm._negate(row)], dim) is None
 
 
 def reference_witness(system, dim):
@@ -352,9 +351,9 @@ def reference_witness(system, dim):
             if len(active) == 1:
                 steps.append((k, [(key, *bound) for key, bound in system.rows.items()]))
                 break
-            bounding, system = geometry._eliminate(system, k)
+            bounding, system = fm._eliminate(system, k)
             steps.append((k, bounding))
-    except geometry._Infeasible:
+    except fm._Infeasible:
         return None
     nums = [0] * dim
     den = 1
@@ -401,11 +400,11 @@ def reference_witness(system, dim):
 @example((3, [((0, -1, -1), -1, False), ((0, 1, 1), 1, False)], []))
 def test_witness_matches_always_eliminating_reference(system):
     dim, base, extra = system
-    stored = geometry._extend(geometry._IneqSystem(), geometry._stored_rows(base + extra))
+    stored = fm._extend(fm._IneqSystem(), fm._stored_rows(base + extra))
     if stored is None:
         return  # the adds alone decide it; no witness is sought
     kept = list(stored.rows.items())
-    assert geometry._witness(stored, dim) == reference_witness(stored, dim)
+    assert fm._witness(stored, dim) == reference_witness(stored, dim)
     assert list(stored.rows.items()) == kept
 
 
@@ -414,7 +413,7 @@ def test_plane_solves_derive_no_rows(monkeypatch, corpus_entries):
     # eliminates into a system and _store sees only the rows integer_rows makes
     made = []
     integer = geometry.integer_rows
-    store = geometry._store
+    store = fm._store
     stored = Counter()
 
     def recorded(constraints):
@@ -430,14 +429,16 @@ def test_plane_solves_derive_no_rows(monkeypatch, corpus_entries):
         raise AssertionError("_eliminate called on a system in the plane")
 
     monkeypatch.setattr(geometry, "integer_rows", recorded)
-    monkeypatch.setattr(geometry, "_store", counted)
-    monkeypatch.setattr(geometry, "_eliminate", forbidden)
+    monkeypatch.setattr(fm, "_store", counted)
+    monkeypatch.setattr(fm, "_eliminate", forbidden)
     planar = [(e, r) for e in corpus_entries for r in e.realizations if r.arrangement.dim == 2]
     assert len(planar) == 14
     for entry, real in planar:
         made.clear()
         stored.clear()
-        assert code_of_arrangement(real.arrangement) == entry.code, real.stem
+        # a fresh arrangement, so that its rows are built under the patches
+        arr = Arrangement(real.arrangement.dim, real.arrangement.topology, real.arrangement.sets)
+        assert code_of_arrangement(arr) == entry.code, real.stem
         assert sum(stored.values()) == len(made), real.stem
         assert all(stored[id(key)] == 1 for key, _, _ in made), real.stem
 
@@ -516,15 +517,6 @@ def test_open_square_excludes_boundary():
     assert all(c.rel is Rel.LT for c in cons)
     assert not point_satisfies(cons, (Q(0), Q(0)))
     assert point_satisfies(cons, (Q(1, 2), Q(1, 2)))
-
-
-def test_interpret_closure():
-    open_arr = Arrangement(2, Topology.OPEN, (unit_square(),))
-    closed = interpret_closure(open_arr)
-    assert closed.topology is Topology.CLOSED
-    assert closed.sets[0].constraints == unit_square().constraints
-    with pytest.raises(ValueError):
-        interpret_closure(closed)
 
 
 def test_arrangement_validation():
@@ -658,7 +650,7 @@ def test_each_input_row_is_normalised_once(monkeypatch, corpus_entries):
     # elimination derives are new lists, never an input row's key
     made = []
     integer = geometry.integer_rows
-    store = geometry._store
+    store = fm._store
     stored = Counter()
 
     def recorded(constraints):
@@ -671,13 +663,37 @@ def test_each_input_row_is_normalised_once(monkeypatch, corpus_entries):
         return store(coeffs, num, den, strict)
 
     monkeypatch.setattr(geometry, "integer_rows", recorded)
-    monkeypatch.setattr(geometry, "_store", counted)
+    monkeypatch.setattr(fm, "_store", counted)
     for entry in corpus_entries:
         for real in entry.realizations:
             made.clear()
             stored.clear()
-            code_of_arrangement(real.arrangement)
+            # a fresh arrangement, so that its rows are built under the patches
+            a = real.arrangement
+            code_of_arrangement(Arrangement(a.dim, a.topology, a.sets))
             assert made and all(stored[id(key)] == 1 for key, _, _ in made), real.stem
+
+
+def test_arrangement_rows_are_built_once(monkeypatch):
+    # membership and atom queries on one arrangement share the rows it
+    # prepared on first use: integer_rows runs once per set in total
+    calls = 0
+    integer = geometry.integer_rows
+
+    def counted(constraints):
+        nonlocal calls
+        calls += 1
+        return integer(constraints)
+
+    monkeypatch.setattr(geometry, "integer_rows", counted)
+    built = sunflower3_realization()
+    arr = Arrangement(built.dim, built.topology, built.sets)
+    for point in [(0, 0), (1, 0), (Q(1, 2), 1), (-5, 1), (9, 9)]:
+        membership_pattern(arr, point)
+    for w in [0, word([1]), word([1, 2, 3]), word([1, 2])]:
+        find_atom_point(arr, w)
+    code_of_arrangement(arr)
+    assert calls == arr.n
 
 
 def test_extraction_and_collapse_leave_no_reference_cycles(corpus_entries, extracted_codes):

@@ -1,9 +1,11 @@
 """The runtime is standard-library only: every import under src/convexcodes
-names a standard-library module or the package itself."""
+names a standard-library module or the package itself.  Every exported name
+exists, and the package imports each name from a module that has it."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -26,3 +28,19 @@ def top_level_imports(path: Path) -> set[str]:
 def test_imports_are_stdlib_or_package(path):
     outside = top_level_imports(path) - set(sys.stdlib_module_names) - {"convexcodes"}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exported_names_exist(path):
+    module = importlib.import_module(f"convexcodes.{path.stem}".removesuffix(".__init__"))
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name} exports missing names {missing}"
+
+
+def test_package_imports_only_names_its_modules_define():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"convexcodes.{node.module}")
+            stale = [a.name for a in node.names if a.name not in vars(module)]
+            assert not stale, f"__init__ imports {stale} missing from {node.module}"
