@@ -31,15 +31,7 @@ from .formats import (
     serialize_arrangement,
     serialize_code,
 )
-from .generators import (
-    corpus,
-    gen_an,
-    gen_cn,
-    gen_sn,
-    realization_an_r2,
-    realization_cn_rn,
-    realization_sn_r2,
-)
+from .generators import FAMILIES, corpus, family_entry
 from .geometry import TopologyError, code_of_arrangement
 from .topology import (
     Contractibility,
@@ -185,15 +177,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2
 
 
-_FAMILY_REALIZATIONS = {
-    ("an", "r2"): realization_an_r2,
-    ("sn", "r2"): realization_sn_r2,
-    ("cn", "rn"): realization_cn_rn,
-}
-
-_FAMILY_CODES = {"an": gen_an, "sn": gen_sn, "cn": gen_cn}
-
-
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8", newline="\n")
     print(f"wrote {path}")
@@ -203,20 +186,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     # every file is built before the --out directory is touched, so a bad
     # family, --n or --realization leaves nothing behind
     family = args.family
-    if family in _FAMILY_CODES:
+    if family in FAMILIES:
         if args.n is None:
             raise ValueError(f"family {family!r} needs --n")
-        n = args.n
-        files = [(f"{family}_{n}.code", serialize_code(_FAMILY_CODES[family](n)))]
-        if args.realization is not None:
-            builder = _FAMILY_REALIZATIONS.get((family, args.realization))
-            if builder is None:
-                raise ValueError(
-                    f"family {family!r} has no {args.realization!r} realization"
-                )
-            files.append(
-                (f"{family}_{args.realization}_{n}.arr", serialize_arrangement(builder(n)))
-            )
+        tags = () if args.realization is None else (args.realization,)
+        entry = family_entry(family, args.n, tags)
     else:
         # one corpus() call: it builds every entry's code and realizations
         entry = next((e for e in corpus() if e.name == family), None)
@@ -226,11 +200,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError(f"corpus entry {family!r} does not take --n")
         if args.realization is not None:
             raise ValueError(f"corpus entry {family!r} does not take --realization")
-        files = [(f"{entry.name}.code", serialize_code(entry.code))]
-        files += [
-            (f"{real.stem}.arr", serialize_arrangement(real.arrangement))
-            for real in entry.realizations
-        ]
+    files = [(f"{entry.name}.code", serialize_code(entry.code))]
+    files += [
+        (f"{real.stem}.arr", serialize_arrangement(real.arrangement))
+        for real in entry.realizations
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files:
@@ -266,6 +240,11 @@ def _count(token: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# read once from the family table: gen's family help and its --realization tags
+_FAMILY_HELP = " | ".join([*FAMILIES, "a corpus entry name"])
+_REALIZATION_TAGS = sorted({tag for spec in FAMILIES.values() for tag in spec.realizations})
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; 2 is reserved for
     # verification mismatches here, so route usage errors through ValueError
@@ -292,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="write generated code/arrangement files")
-    p.add_argument("family", help="an | sn | cn | a corpus entry name")
+    p.add_argument("family", help=_FAMILY_HELP)
     p.add_argument("--n", type=_count, default=None)
-    p.add_argument("--realization", choices=["r2", "rn"], default=None)
+    p.add_argument("--realization", choices=_REALIZATION_TAGS, default=None)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_gen)
 

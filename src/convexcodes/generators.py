@@ -13,6 +13,7 @@ neuron ``n + 1`` as the crossing set.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -265,15 +266,15 @@ def sunflower3_code() -> NeuralCode:
     return neural_code(3, [[1, 2, 3], [1], [2], [3], []])
 
 
-def sunflower3_realization(topology: Topology = Topology.CLOSED) -> Arrangement:
-    """Three rectangles whose pairwise overlaps all equal the central square."""
+def sunflower3_realization() -> Arrangement:
+    """Three closed rectangles whose pairwise overlaps all equal the central square."""
     rows = {
         1: [((-1, 0), "<=", 9), ((1, 0), "<=", 2), ((0, -1), "<=", 0), ((0, 1), "<=", 2)],
         2: [((-1, 0), "<=", 0), ((1, 0), "<=", 2), ((0, -1), "<=", 0), ((0, 1), "<=", 9)],
         3: [((-1, 0), "<=", 0), ((1, 0), "<=", 11), ((0, -1), "<=", 0), ((0, 1), "<=", 2)],
     }
     sets = tuple(polyhedron(2, rows[i]) for i in range(1, 4))
-    return Arrangement(2, topology, sets)
+    return Arrangement(2, Topology.CLOSED, sets)
 
 
 # --- corpus ----------------------------------------------------------------------
@@ -288,12 +289,11 @@ def _box2(lo: int, hi: int) -> Box:
 
 @dataclass(frozen=True)
 class Realization:
-    """An arrangement paired with a file stem, a provenance note, and a
-    sampling box for the randomized partition checks."""
+    """An arrangement paired with a file stem and a sampling box for the
+    randomized partition checks."""
 
     stem: str
     arrangement: Arrangement
-    note: str
     sample_box: Box
 
 
@@ -322,80 +322,69 @@ class CorpusEntry:
     expected: Expected
 
 
+# every family code is max-intersection complete, hence locally good with no face to check
+_COMPLETE = dict(max_intersection_complete=True, locally_good=True, locally_good_checked=frozenset())
+
+
+@dataclass(frozen=True)
+class Family:
+    """A parametric family: its code for n, its realizations by tag (each a
+    builder and the sampling box for n), and the corpus expectations for n."""
+
+    code: Callable[[int], NeuralCode]
+    realizations: dict[str, tuple[Callable[[int], Arrangement], Callable[[int], Box]]]
+    expected: Callable[[int], Expected]
+
+
+def _planar_box(n: int) -> Box:
+    return _box2(-10, 10)
+
+
+FAMILIES = {
+    "an": Family(
+        gen_an,
+        {"r2": (realization_an_r2, _planar_box)},
+        lambda n: Expected(
+            word_count=2 * n + 3,
+            duplicate_pairs=tuple((i, barred(i, n)) for i in range(1, n + 1)),
+            **_COMPLETE,
+        ),
+    ),
+    "sn": Family(
+        gen_sn,
+        {"r2": (realization_sn_r2, _planar_box)},
+        lambda n: Expected(word_count=2 * n + 3, **_COMPLETE),
+    ),
+    "cn": Family(
+        gen_cn,
+        {"rn": (realization_cn_rn, lambda n: ((Q(-2), Q(2 * n + 2)),) * n)},
+        lambda n: Expected(word_count=2 * n + 4, betti1_min=1, **_COMPLETE),
+    ),
+}
+
+
+def family_entry(family: str, n: int, tags: Iterable[str] = ()) -> CorpusEntry:
+    """The entry ``<family>_<n>`` with the realizations tagged ``tags``, each
+    under the stem ``<family>_<tag>_<n>``.  The code is built first, so an n
+    out of range is reported before a tag the family lacks."""
+    spec = FAMILIES[family]
+    code = spec.code(n)
+    reals = []
+    for tag in tags:
+        if tag not in spec.realizations:
+            raise ValueError(f"family {family!r} has no {tag!r} realization")
+        build, box = spec.realizations[tag]
+        reals.append(Realization(f"{family}_{tag}_{n}", build(n), box(n)))
+    return CorpusEntry(f"{family}_{n}", code, tuple(reals), spec.expected(n))
+
+
 def _family_entries() -> list[CorpusEntry]:
-    entries = []
-    for n in range(2, 6):
-        an = gen_an(n)
-        an_real = (
-            Realization(
-                f"an_r2_{n}",
-                realization_an_r2(n),
-                "segment star through a common apex plus one transversal",
-                _box2(-10, 10),
-            ),
-        )
-        entries.append(
-            CorpusEntry(
-                f"an_{n}",
-                an,
-                an_real,
-                Expected(
-                    word_count=2 * n + 3,
-                    max_intersection_complete=True,
-                    locally_good=True,
-                    locally_good_checked=frozenset(),
-                    duplicate_pairs=tuple((i, barred(i, n)) for i in range(1, n + 1)),
-                ),
-            )
-        )
-    for n in range(2, 6):
-        entries.append(
-            CorpusEntry(
-                f"sn_{n}",
-                gen_sn(n),
-                (
-                    Realization(
-                        f"sn_r2_{n}",
-                        realization_sn_r2(n),
-                        "segment star without duplicates",
-                        _box2(-10, 10),
-                    ),
-                ),
-                Expected(
-                    word_count=2 * n + 3,
-                    max_intersection_complete=True,
-                    locally_good=True,
-                    locally_good_checked=frozenset(),
-                ),
-            )
-        )
-    for n in range(2, 6):
-        reals: tuple[Realization, ...] = ()
-        if n <= 4:
-            box = tuple(((Q(-2), Q(2 * n + 2)),) * n)
-            reals = (
-                Realization(
-                    f"cn_rn_{n}",
-                    realization_cn_rn(n),
-                    "prism construction in dimension n",
-                    box,
-                ),
-            )
-        entries.append(
-            CorpusEntry(
-                f"cn_{n}",
-                gen_cn(n),
-                reals,
-                Expected(
-                    word_count=2 * n + 4,
-                    max_intersection_complete=True,
-                    locally_good=True,
-                    locally_good_checked=frozenset(),
-                    betti1_min=1,
-                ),
-            )
-        )
-    return entries
+    # every realization for n = 2..5 but cn_rn_5, whose extraction takes tens of seconds
+    return [
+        family_entry(family, n, [t for t in spec.realizations if (family, t, n) != ("cn", "rn", 5)])
+        for family, spec in FAMILIES.items()
+        for n in range(2, 6)
+    ]
 
 
 def corpus() -> tuple[CorpusEntry, ...]:
@@ -405,18 +394,8 @@ def corpus() -> tuple[CorpusEntry, ...]:
             "boxes6",
             boxes6_code(),
             (
-                Realization(
-                    "boxes6_open",
-                    boxes6_realization(Topology.OPEN),
-                    "box realization read with open interiors",
-                    _box2(-12, 12),
-                ),
-                Realization(
-                    "boxes6_closed",
-                    boxes6_realization(Topology.CLOSED),
-                    "the same boxes read closed",
-                    _box2(-12, 12),
-                ),
+                Realization("boxes6_open", boxes6_realization(Topology.OPEN), _box2(-12, 12)),
+                Realization("boxes6_closed", boxes6_realization(Topology.CLOSED), _box2(-12, 12)),
             ),
             Expected(
                 word_count=12,
@@ -434,12 +413,7 @@ def corpus() -> tuple[CorpusEntry, ...]:
             "fan6",
             fan6_code(),
             (
-                Realization(
-                    "fan6",
-                    fan6_realization(),
-                    "triangle fan over a split strip",
-                    _box2(-11, 11),
-                ),
+                Realization("fan6", fan6_realization(), _box2(-11, 11)),
             ),
             Expected(
                 word_count=10,
@@ -456,12 +430,7 @@ def corpus() -> tuple[CorpusEntry, ...]:
             "fan8",
             fan8_code(),
             (
-                Realization(
-                    "fan8",
-                    fan8_realization(),
-                    "fan6 realization with sets 7 and 8 duplicating 1 and 3",
-                    _box2(-11, 11),
-                ),
+                Realization("fan8", fan8_realization(), _box2(-11, 11)),
             ),
             Expected(
                 word_count=10,
@@ -504,12 +473,7 @@ def corpus() -> tuple[CorpusEntry, ...]:
             "sunflower3",
             sunflower3_code(),
             (
-                Realization(
-                    "sunflower3",
-                    sunflower3_realization(Topology.CLOSED),
-                    "three closed rectangles meeting in the unit square",
-                    _box2(-10, 12),
-                ),
+                Realization("sunflower3", sunflower3_realization(), _box2(-10, 12)),
             ),
             Expected(
                 word_count=5,

@@ -175,18 +175,35 @@ def test_verify_parse_error(tmp_path, capsys):
     assert status == 1 and "error:" in err
 
 
-def test_gen_family_files(tmp_path, capsys):
-    status, out, _ = run(capsys, "gen", "an", "--n", "3", "--out", str(tmp_path))
-    assert status == 0
-    text = (tmp_path / "an_3.code").read_text()
-    assert text.startswith("neurons: 7\n")
-    assert len([l for l in text.splitlines()[1:] if l]) == 9
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("family", list(generators.FAMILIES))
+def test_gen_family_files(tmp_path, capsys, family, n):
+    # --realization offers exactly the table's tags
+    gen = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["gen"]
+    tags = next(a for a in gen._actions if a.dest == "realization").choices
+    assert tags == sorted({t for spec in generators.FAMILIES.values() for t in spec.realizations})
 
-    status, _, _ = run(
-        capsys, "gen", "cn", "--n", "2", "--realization", "rn", "--out", str(tmp_path)
-    )
-    assert status == 0
-    assert (tmp_path / "cn_rn_2.arr").read_bytes() == (CORPUS / "cn_rn_2.arr").read_bytes()
+    # without --realization gen writes the code alone, and it is the shipped one
+    status, _, err = run(capsys, "gen", family, "--n", str(n), "--out", str(tmp_path / "code"))
+    assert status == 0 and not err
+    name = f"{family}_{n}.code"
+    assert [p.name for p in (tmp_path / "code").iterdir()] == [name]
+    data = (tmp_path / "code" / name).read_bytes()
+    assert data == (CORPUS / name).read_bytes()
+    entry = generators.corpus_entry(f"{family}_{n}")
+    assert len([l for l in data.decode().splitlines()[1:] if l]) == entry.expected.word_count
+
+    # each tag adds its arrangement, the shipped file where the corpus has one
+    for tag in generators.FAMILIES[family].realizations:
+        out = tmp_path / tag
+        argv = ["gen", family, "--n", str(n), "--realization", tag, "--out", str(out)]
+        status, _, err = run(capsys, *argv)
+        assert status == 0 and not err
+        stem = f"{family}_{tag}_{n}"
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, f"{stem}.arr"])
+        assert (out / name).read_bytes() == (CORPUS / name).read_bytes()
+        if (family, tag, n) != ("cn", "rn", 5):
+            assert (out / f"{stem}.arr").read_bytes() == (CORPUS / f"{stem}.arr").read_bytes()
 
 
 def test_gen_corpus_entry(tmp_path, capsys):

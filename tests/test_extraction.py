@@ -23,6 +23,7 @@ from convexcodes import (
     code_of_arrangement,
     feasible_point,
     integer_rows,
+    is_locally_good,
     neural_code,
     point_satisfies,
     polyhedron,
@@ -225,6 +226,14 @@ def box_chains(draw):
 )
 def test_pruned_search_matches_oracle(arr):
     assert code_of_arrangement(arr) == oracle_code(arr)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(arrangements(), box_chains()))
+def test_extracted_codes_have_no_local_obstruction(arr):
+    # a code realized by convex sets, open (Curto et al. 2017) or closed
+    # (Cruz et al. 2019), has no local obstruction
+    assert is_locally_good(code_of_arrangement(arr)).verdict is True
 
 
 def test_three_closed_lines_through_a_point():
