@@ -50,7 +50,6 @@ from .topology import (
     ContractibilityResult,
     FaceNotFoundError,
     LocalObstructionReport,
-    collapse_to_point,
     contractibility,
     is_locally_good,
     link,

@@ -1,11 +1,13 @@
 """Topology of code complexes: links, exact rational homology, collapsibility.
 
 Contractibility of a geometric realization is undecidable in general, so the
-decision procedure here is three-valued.  CONTRACTIBLE comes with a checkable
-certificate (a cone apex, or a full sequence of elementary collapses down to
-one vertex); NON_CONTRACTIBLE comes with a nonzero reduced Betti number over
-the rationals, or with the observation that the realization is empty.
-Anything else is UNKNOWN.
+decision procedure here is three-valued and tries, in order: an empty
+realization, a cone apex, a nonzero reduced Betti number over the rationals,
+and one greedy collapse down to a point.  CONTRACTIBLE comes with a checkable
+certificate (the cone apex, or the collapse sequence); NON_CONTRACTIBLE comes
+with the Betti number, or with the observation that the realization is
+empty.  UNKNOWN means the greedy collapse got stuck on a complex with zero
+rational homology, as on the 6-vertex real projective plane.
 
 One rule reads the facets before any face is built: the vertices outside a
 face f that lie in every facet above f.  For f = ∅ they are the cone apexes
@@ -41,9 +43,6 @@ from .codes import (
     word_label,
 )
 
-DEFAULT_COLLAPSE_BUDGET = 1_000_000
-
-
 class FaceNotFoundError(ValueError):
     """Raised when an operation is asked about a face outside the complex."""
 
@@ -60,7 +59,8 @@ class ContractibilityResult:
 
     Exactly one certificate field is populated for a decided status:
     ``cone_apex`` or ``collapse_steps`` for CONTRACTIBLE, ``nonzero_betti_dim``
-    or ``empty`` for NON_CONTRACTIBLE.
+    or ``empty`` for NON_CONTRACTIBLE.  UNKNOWN carries none: the complex has
+    zero rational homology, but the greedy collapse got stuck before a point.
     """
 
     status: Contractibility
@@ -171,8 +171,8 @@ def _greedy_collapse(faces: frozenset[Word]) -> tuple[set[Word], list[tuple[Word
     Elementary collapses preserve the homotopy type, so the stuck core has the
     same homology as the input.  Faces are mutated in place on a copy.  A
     collapse changes the one-vertex-up counts only of the faces one vertex
-    below sigma or tau, so only those are re-examined.  The steps are the
-    first branch of ``collapse_to_point``'s search.
+    below sigma or tau, so only those are re-examined.  Its steps are the
+    collapse certificate of ``contractibility`` when they end at a point.
     """
     faces = set(faces)
     counts = _up_counts(faces)
@@ -273,83 +273,18 @@ def reduced_homology(cpx: SimplicialComplex) -> tuple[int, ...]:
     return _betti_of_faces(faces, top_dim)
 
 
-# --- collapsibility search ------------------------------------------------------
+# --- contractibility ------------------------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _free_pairs(faces: frozenset[Word]) -> list[tuple[Word, Word]]:
-    verts = _vertex_mask(faces)
-    pairs = [
-        (sigma, _up_coface(faces, sigma, verts))
-        for sigma, c in _up_counts(faces).items()
-        if c == 1 and sigma != 0
-    ]
-    pairs.sort(key=lambda p: word_key(p[0]))
-    return pairs
-
-
-def collapse_to_point(
-    cpx: SimplicialComplex, budget: int = DEFAULT_COLLAPSE_BUDGET
-) -> tuple[tuple[Word, Word], ...] | None:
-    """Search for a full sequence of elementary collapses down to one vertex.
-
-    Backtracking over free-face choices in lexicographic order, memoizing
-    visited face sets.  Returns None when no sequence exists or the state
-    budget runs out.
-    """
-
-    def is_point(fs: frozenset[Word]) -> bool:
-        return len(fs) == 2 and 0 in fs
-
-    start = frozenset(cpx.face_set)
-    if is_point(start):
-        return ()
-    visited: set[frozenset[Word]] = set()
-    remaining = budget
-
-    def search(fs: frozenset[Word]) -> list[tuple[Word, Word]] | None:
-        nonlocal remaining
-        if is_point(fs):
-            return []
-        for sigma, tau in _free_pairs(fs):
-            nxt = frozenset(fs - {sigma, tau})
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            remaining -= 1
-            if remaining < 0:
-                raise _BudgetExhausted
-            rest = search(nxt)
-            if rest is not None:
-                return [(sigma, tau)] + rest
-        return None
-
-    try:
-        seq = search(start)
-    except _BudgetExhausted:
-        return None
-    finally:
-        # search's closure holds search and visited: a cycle that would keep
-        # every visited state alive until a full garbage collection
-        del search
-    return tuple(seq) if seq is not None else None
-
-
-def contractibility(
-    cpx: SimplicialComplex, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET
-) -> ContractibilityResult:
+def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
     """Decide contractibility of the geometric realization where possible.
 
     Decision order: empty realization (no nonempty facet), cone detection,
-    the first nonzero reduced Betti number, greedy collapse to a point (the
-    first branch of ``collapse_to_point``, taken when it fits the budget),
-    then bounded backtracking collapse search.  The first two read the facets
+    the first nonzero reduced Betti number, then one greedy collapse, which
+    is CONTRACTIBLE when it ends at a point.  The first two read the facets
     only, and ``reduced_homology`` builds the faces of the strong core only.
-    A complex whose homology is trivial but which resists collapsing within
-    budget stays UNKNOWN.
+    A complex with zero rational homology on which the greedy collapse gets
+    stuck, such as the 6-vertex real projective plane, stays UNKNOWN.
     """
     if not any(cpx.facets):
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
@@ -362,11 +297,8 @@ def contractibility(
         if b:
             return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k)
     core, steps = _greedy_collapse(cpx.face_set)
-    if len(core) == 2 and len(steps) <= collapse_budget:
+    if len(core) == 2:
         return ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=tuple(steps))
-    seq = collapse_to_point(cpx, budget=collapse_budget)
-    if seq is not None:
-        return ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=seq)
     return ContractibilityResult(Contractibility.UNKNOWN)
 
 
@@ -481,9 +413,7 @@ class LocalObstructionReport:
         return tuple(f for f, _ in self.checked)
 
 
-def is_locally_good(
-    code: NeuralCode, collapse_budget: int = DEFAULT_COLLAPSE_BUDGET
-) -> LocalObstructionReport:
+def is_locally_good(code: NeuralCode) -> LocalObstructionReport:
     """Detect local obstructions to open or closed convexity.
 
     The code is locally good iff every nonempty intersection of two or more
@@ -493,7 +423,7 @@ def is_locally_good(
     """
     cpx = simplicial_complex(code)
     return LocalObstructionReport(tuple(
-        (f, contractibility(link(cpx, f), collapse_budget=collapse_budget))
+        (f, contractibility(link(cpx, f)))
         for f in missing_intersections(code)
     ))
 
@@ -503,7 +433,6 @@ __all__ = [
     "ContractibilityResult",
     "FaceNotFoundError",
     "LocalObstructionReport",
-    "collapse_to_point",
     "contractibility",
     "is_locally_good",
     "link",

@@ -335,6 +335,15 @@ def test_link_of_face_in_large_facet(tmp_path, capsys):
     assert "link status: contractible [cone apex 1]" in out
 
 
+def test_link_unknown_on_cone_over_rp2(tmp_path, capsys, rp2_facets):
+    # the link of the apex 7 is RP²: zero rational homology, and no free face
+    cone = tmp_path / "cone.code"
+    cone.write_text("neurons: 7\n" + "".join(" ".join(map(str, f + (7,))) + "\n" for f in rp2_facets))
+    status, out, err = run(capsys, "link", str(cone), "--face", "7")
+    assert status == 0 and not err
+    assert "link status: unknown [no certificate within budget]\n" in out
+
+
 def test_usage_errors_exit_1(capsys):
     status, _, err = run(capsys, "frobnicate")
     assert status == 1 and "error:" in err

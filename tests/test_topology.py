@@ -15,7 +15,6 @@ from convexcodes import (
     FaceNotFoundError,
     NeuralCode,
     SimplicialComplex,
-    collapse_to_point,
     complex_from_faces,
     contractibility,
     full_word,
@@ -161,6 +160,7 @@ def test_path_collapses():
     res = contractibility(path)
     assert res.status is Contractibility.CONTRACTIBLE
     assert res.collapse_steps is not None and len(res.collapse_steps) == 3
+    assert_collapse_certificate(path, res.collapse_steps)
 
 
 def test_hollow_triangle_non_contractible():
@@ -183,25 +183,30 @@ def test_single_point_contractible():
     assert res.status is Contractibility.CONTRACTIBLE
 
 
-def test_budget_zero_gives_unknown():
-    path = cpx_of(6, (5, 1), (1, 2), (2, 6))
-    res = contractibility(path, collapse_budget=0)
+def test_rp2_is_unknown_with_zero_homology(rp2_facets):
+    rp2 = cpx_of(6, *rp2_facets)
+    assert reduced_homology(rp2) == (0, 0, 0)
+    res = contractibility(rp2)
     assert res.status is Contractibility.UNKNOWN
-    # the 3-step path visits 3 states, one more than a budget of 2 allows
-    assert contractibility(path, collapse_budget=2).status is Contractibility.UNKNOWN
-    assert len(contractibility(path, collapse_budget=3).collapse_steps) == 3
+    assert res.describe() == "unknown [no certificate within budget]"
 
 
-def test_collapse_to_point_sequence_is_valid():
-    path = cpx_of(6, (5, 1), (1, 2), (2, 6))
-    seq = collapse_to_point(path)
-    faces = set(path.face_set)
-    for sigma, tau in seq:
-        cofaces = [g for g in faces if g != sigma and sigma & g == sigma]
-        assert cofaces == [tau]
-        faces.discard(sigma)
-        faces.discard(tau)
-    assert len(faces) == 2 and 0 in faces
+def test_rp2_with_pendant_edges_runs_one_collapse(rp2_facets, monkeypatch):
+    # the 12 pendant edges collapse in any order, so a search over collapse
+    # orders would visit 2^12 face sets before giving up on RP²
+    calls = 0
+    real_up_counts = topology._up_counts
+
+    def counted(faces):
+        nonlocal calls
+        calls += 1
+        return real_up_counts(faces)
+
+    monkeypatch.setattr(topology, "_up_counts", counted)
+    cpx = cpx_of(18, *rp2_facets, *((1, v) for v in range(7, 19)))
+    assert contractibility(cpx).status is Contractibility.UNKNOWN
+    # one coface count for the homology of the strong core, one for the collapse
+    assert calls <= 2
 
 
 def _proper_submasks(w):
@@ -231,23 +236,33 @@ def oracle_free_pairs(faces):
     return pairs
 
 
-@settings(max_examples=100, deadline=None)
-@given(complexes(max_n=8, max_facets=6))
-def test_free_pairs_match_coface_count_oracle(cpx):
-    faces = cpx.face_set
-    assert topology._free_pairs(faces) == oracle_free_pairs(faces)
-    seq = collapse_to_point(cpx, budget=300)
-    with mock.patch.object(topology, "_free_pairs", oracle_free_pairs):
-        assert seq == collapse_to_point(cpx, budget=300)
+def collapse_leaves(faces, steps):
+    """The faces left after the steps, each checked to be an elementary
+    collapse: sigma has exactly one proper coface tau among the faces left."""
+    faces = set(faces)
+    for sigma, tau in steps:
+        assert (sigma, tau) in oracle_free_pairs(faces)
+        faces -= {sigma, tau}
+    return faces
+
+
+def assert_collapse_certificate(cpx, steps):
+    left = collapse_leaves(cpx.face_set, steps)
+    assert len(left) == 2 and 0 in left  # one vertex and the empty face
 
 
 @settings(max_examples=100, deadline=None)
 @given(complexes(max_n=8, max_facets=6))
-def test_collapse_certificate_is_first_search_branch(cpx):
-    # a greedy collapse to a point is the search's first branch, so the same steps
+def test_greedy_collapse_matches_coface_count_oracle(cpx):
+    core, steps = topology._greedy_collapse(cpx.face_set)
+    assert collapse_leaves(cpx.face_set, steps) == core
+    # the greedy collapse stops only where the oracle finds no free face
+    assert oracle_free_pairs(core) == []
     res = contractibility(cpx)
+    if len(core) == 2:
+        assert res.status is Contractibility.CONTRACTIBLE
     if res.collapse_steps is not None:
-        assert res.collapse_steps == collapse_to_point(cpx)
+        assert_collapse_certificate(cpx, res.collapse_steps)
 
 
 # --- homology ----------------------------------------------------------------------
@@ -437,12 +452,14 @@ def test_locally_good_examples():
     assert is_locally_good(sunflower3_code()).checked == ()
 
 
-def test_locally_good_unknown_within_budget():
-    # neither8's checked links need collapse sequences, which a zero budget forbids
-    report = is_locally_good(neither8_code(), collapse_budget=0)
+def test_locally_good_unknown_on_cone_over_rp2(rp2_facets):
+    # every face of the cone over RP² with apex 7 but {7}: the one missing
+    # intersection of maximal codewords is {7}, and its link is RP²
+    cone = cpx_of(7, *(f + (7,) for f in rp2_facets))
+    report = is_locally_good(NeuralCode(7, cone.face_set - {word([7])}))
+    assert report.checked_faces() == (word([7]),)
     assert report.verdict is None
     assert report.obstruction is None
-    assert all(res.status is Contractibility.UNKNOWN for _, res in report.checked)
 
 
 def test_locally_good_false_case():
@@ -476,6 +493,18 @@ def test_mandatory_table_matches_link_by_link_on_corpus(corpus_entries):
     # the corpus holds an_5 and cn_5, whose tables have 1,039 rows each
     for entry in corpus_entries:
         assert_table_matches_link_by_link(simplicial_complex(entry.code))
+
+
+def test_collapse_certificates_check_on_corpus(corpus_entries):
+    # every collapse certificate of a corpus table row collapses its link
+    checked = 0
+    for entry in corpus_entries:
+        cpx = simplicial_complex(entry.code)
+        for f, res in mandatory_codewords(cpx).items():
+            if res.collapse_steps is not None:
+                assert_collapse_certificate(link(cpx, f), res.collapse_steps)
+                checked += 1
+    assert checked
 
 
 def test_mandatory_table_builds_no_face(monkeypatch):
@@ -612,18 +641,3 @@ def test_analysis_builds_each_link_once(monkeypatch):
     assert report.locally_good is True
     assert {word([1]), word([3]), word([7])} <= set(built)
     assert max(built.values()) == 1
-
-
-def test_analysis_replays_no_collapse_search_on_corpus(corpus_entries, monkeypatch):
-    calls = 0
-    real_search = topology.collapse_to_point
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_search(*args, **kwargs)
-
-    monkeypatch.setattr(topology, "collapse_to_point", counted)
-    for entry in corpus_entries:
-        build_analysis(entry.code, include_homology=True)
-    assert calls == 0
