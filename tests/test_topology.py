@@ -160,7 +160,12 @@ def test_path_collapses():
     res = contractibility(path)
     assert res.status is Contractibility.CONTRACTIBLE
     assert res.collapse_steps is not None and len(res.collapse_steps) == 3
-    assert_collapse_certificate(path, res.collapse_steps)
+
+
+def test_collapse_to_point_sequence_is_valid():
+    # the greedy certificate is a sequence of elementary collapses down to a point
+    path = cpx_of(6, (5, 1), (1, 2), (2, 6))
+    assert_collapse_certificate(path, contractibility(path).collapse_steps)
 
 
 def test_hollow_triangle_non_contractible():
