@@ -9,7 +9,7 @@ package ships.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 MAX_NEURONS = 64
@@ -43,15 +43,8 @@ def members(w: Word) -> tuple[int, ...]:
 
 def word_label(w: Word) -> str:
     """Render a codeword as ``{1,2,3}``; the empty word as ``{}``."""
-    raw = w.to_bytes((w.bit_length() + 7) // 8, "little")
-    return "{" + ",".join([_byte_label(k, b) for k, b in enumerate(raw) if b]) + "}"
-
-
-# one entry per (byte offset, byte value) of a 64-neuron word
-@lru_cache(maxsize=MAX_NEURONS // 8 * 256)
-def _byte_label(k: int, b: int) -> str:
-    """The neurons of byte value b at byte offset k, e.g. ``9,11,12``."""
-    return ",".join(str(8 * k + i) for i in members(b))
+    # the binary digits, lowest first, are the membership flags of neurons 1, 2, ...
+    return "{" + ",".join([str(i) for i, b in enumerate(bin(w)[:1:-1], 1) if b == "1"]) + "}"
 
 
 def full_word(n: int) -> Word:

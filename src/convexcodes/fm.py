@@ -1,21 +1,23 @@
 """Exact Fourier-Motzkin feasibility on integer rows, strict and weak mixed.
 
 A row ``key · x <= bound`` (``<`` if strict) arrives as integers and is
-normalised once into the form systems store: the primitive vector, the bound
-as a reduced num/den, the strict flag and the negated vector, the key of the
+normalised once into stored form: the primitive vector, the bound as a
+reduced num/den, the strict flag and the negated vector, the key of the
 opposite row.  A row's negation is that opposite row with the strictness
 flipped, a swap of fields, so solves, implication tests and atom branches
 normalise nothing; only rows elimination derives are normalised as they
-appear.  Feasibility is Fourier-Motzkin elimination on these rows in
-integers, exact with mixed strict/weak rows, which is what lets a single
-engine decide both open and closed semantics.  Only eliminations with more
-than two variables left store derived rows; the last folds each row pair
-straight into a bound on the other variable.  One fold, the tightest lower
-and upper bound with strict winning a tie, decides that last window and
-picks each coordinate in back-substitution, as integers over one common
-denominator.  A solve is incremental: it copies a system, adds only its new
-rows (which alone may prove it empty), then eliminates, and the extended
-system is kept for the solves that build on it.
+appear.  Systems hold the stored rows as they are and every step reads
+that one layout, so a record of the input rows behind a derived row would
+be one more field of it.  Feasibility is Fourier-Motzkin elimination on
+these rows in integers, exact with mixed strict/weak rows, which is what
+lets a single engine decide both open and closed semantics.  Only
+eliminations with more than two variables left store derived rows; the last
+folds each row pair straight into a bound on the other variable.  One fold,
+the tightest lower and upper bound with strict winning a tie, decides that
+last window and picks each coordinate in back-substitution, as integers over
+one common denominator.  A solve is incremental: it copies a system, adds
+only its new rows (which alone may prove it empty), then eliminates, and the
+extended system is kept for the solves that build on it.
 
 Callers store rows (``_stored_rows``), extend a system, solve, ask a system
 whether it ``implies`` a row, negate a row and test whether it holds at a
@@ -82,28 +84,29 @@ class _Infeasible(Exception):
 class _IneqSystem:
     """Weak/strict rows keyed by primitive vector, with dominance pruning.
 
-    Rows arrive in stored form, normalised once by ``_store`` (a record of
-    the input rows behind a derived row would hang there), and ``add`` is the
-    one way in.  For equal directions only the tightest bound is kept, a
-    reduced ``(num, den)`` with ``den > 0``, compared by cross-multiplication.
-    Opposite directions are checked for an empty feasibility window as rows
-    are added, which is what decides an equality, two opposite weak rows.
+    ``add`` is the one way in, and ``rows`` maps each primitive vector to the
+    stored row itself, the tuple ``_store`` made or the caller passed (a
+    record of the input rows behind a derived row would be one more field of
+    ``_Stored``).  For equal directions only the tightest bound is kept,
+    compared by cross-multiplication.  Opposite directions are checked for an
+    empty feasibility window as rows are added, which is what decides an
+    equality, two opposite weak rows.
     """
 
     def __init__(self) -> None:
-        self.rows: dict[tuple[int, ...], tuple[int, int, bool]] = {}
+        self.rows: dict[tuple[int, ...], _Stored] = {}
 
     def add(self, row: _Stored) -> None:
         """Add a stored row; raise _Infeasible if it empties the system."""
         if self.implies(row):
             return
         key, num, den, strict, neg = row
-        self.rows[key] = (num, den, strict)
+        self.rows[key] = row
         opp = self.rows.get(neg)
         if opp is not None:
             # key·x <= num/den and key·x >= -opp_num/opp_den
-            width = num * opp[1] + opp[0] * den
-            if width < 0 or (width == 0 and (strict or opp[2])):
+            width = num * opp[2] + opp[1] * den
+            if width < 0 or (width == 0 and (strict or opp[3])):
                 raise _Infeasible
 
     def implies(self, row: _Stored) -> bool:
@@ -115,33 +118,29 @@ class _IneqSystem:
         old = self.rows.get(key)
         if old is None:
             return False
-        diff = num * old[1] - old[0] * den
-        return diff > 0 or (diff == 0 and (old[2] or not strict))
+        diff = num * old[2] - old[1] * den
+        return diff > 0 or (diff == 0 and (old[3] or not strict))
 
 
-# a row of an _IneqSystem: primitive key, bound numerator and denominator, strict
-_Bounding = tuple[tuple[int, ...], int, int, bool]
-
-
-def _split(system: _IneqSystem, k: int) -> tuple[list[_Bounding], ...]:
+def _split(system: _IneqSystem, k: int) -> tuple[list[_Stored], ...]:
     """The rows of system that bound x_k from below, from above, and the others."""
-    lowers: list[_Bounding] = []
-    uppers: list[_Bounding] = []
-    others: list[_Bounding] = []
-    for key, (n, d, s) in system.rows.items():
-        a = key[k]
-        (lowers if a < 0 else uppers if a > 0 else others).append((key, n, d, s))
+    lowers: list[_Stored] = []
+    uppers: list[_Stored] = []
+    others: list[_Stored] = []
+    for row in system.rows.values():
+        a = row[0][k]
+        (lowers if a < 0 else uppers if a > 0 else others).append(row)
     return lowers, uppers, others
 
 
-def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Bounding], _IneqSystem]:
+def _eliminate(system: _IneqSystem, k: int) -> tuple[list[_Stored], _IneqSystem]:
     """Remove x_k: the rows that bound it, and the system they imply without it."""
     lowers, uppers, others = _split(system, k)
     new = _IneqSystem()
-    new.rows = {key: (n, d, s) for key, n, d, s in others}
-    for lkey, ln, ld, ls in lowers:
+    new.rows = {row[0]: row for row in others}
+    for lkey, ln, ld, ls, _ in lowers:
         la = -lkey[k]
-        for ukey, un, ud, us in uppers:
+        for ukey, un, ud, us, _ in uppers:
             ua = ukey[k]
             combined = [ua * lv + la * uv for lv, uv in zip(lkey, ukey)]
             # an opposite pair cancels to 0 <= ua * (lb + ub), which add's
@@ -208,7 +207,7 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
     active variable) and the eliminated variables, last first, are picked by
     the same fold over the rows that bound each.
     """
-    steps: list[tuple[int, list[_Bounding]]] = []
+    steps: list[tuple[int, list[_Stored]]] = []
     nums = [0] * dim
     den = 1
     try:
@@ -232,10 +231,10 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
             if len(active) == 2:
                 # x_k's row pairs give q·x_j <= n; opposite rows cancel, as add decided
                 j = active[0] + active[1] - k
-                bounds = [(n, d * key[j], s) for key, n, d, s in others]
-                for lkey, ln, ld, ls in lowers:
+                bounds = [(n, d * key[j], s) for key, n, d, s, _ in others]
+                for lkey, ln, ld, ls, _ in lowers:
                     la = -lkey[k]
-                    for ukey, un, ud, us in uppers:
+                    for ukey, un, ud, us, _ in uppers:
                         ua = ukey[k]
                         if q := ua * lkey[j] + la * ukey[j]:
                             bounds.append((ua * ln * ud + la * un * ld, q * ld * ud, ls or us))
@@ -250,7 +249,7 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
         # key·x <= n/d bounds x_k by d·den·key[k]·x_k <= n·den - d·(key·nums)
         vn, vd = _fold(
             [(n * den - d * sum(map(mul, key, nums)), d * den * key[k], s)
-             for key, n, d, s in bounding]
+             for key, n, d, s, _ in bounding]
         )
         if den % vd:
             scale = vd // gcd(den, vd)

@@ -45,7 +45,6 @@ from .geometry import (
     Polyhedron,
     Rel,
     Topology,
-    TopologyError,
 )
 
 
@@ -194,10 +193,7 @@ def parse_arrangement(text: str) -> Arrangement:
     flush()
     if not sets:
         raise ParseError(len(text.splitlines()) or 1, "arrangement has no sets")
-    try:
-        return Arrangement(dim, topology, tuple(sets))
-    except (TopologyError, ValueError) as exc:
-        raise ParseError(1, str(exc)) from None
+    return Arrangement(dim, topology, tuple(sets))
 
 
 def serialize_arrangement(arr: Arrangement) -> str:

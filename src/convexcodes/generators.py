@@ -486,14 +486,3 @@ def corpus() -> tuple[CorpusEntry, ...]:
     ]
     entries.extend(_family_entries())
     return tuple(entries)
-
-
-def corpus_entry(name: str) -> CorpusEntry:
-    for entry in corpus():
-        if entry.name == name:
-            return entry
-    raise ValueError(f"unknown corpus entry {name!r}")
-
-
-def corpus_names() -> tuple[str, ...]:
-    return tuple(entry.name for entry in corpus())

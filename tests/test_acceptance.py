@@ -43,7 +43,7 @@ from convexcodes.formats import (
 )
 from convexcodes.generators import (
     boxes6_code,
-    corpus_entry,
+    corpus,
     gen_an,
     gen_cn,
     gen_sn,
@@ -74,15 +74,7 @@ def criterion(number: int, description: str):
 
 
 def entry_of_stem(stem: str):
-    for prefix in ("boxes6", "fan6", "fan8", "sunflower3"):
-        if stem.startswith(prefix):
-            name = prefix
-            break
-    else:
-        name = stem.replace("_r2_", "_").replace("_rn_", "_")
-    entry = corpus_entry(name)
-    real = next(r for r in entry.realizations if r.stem == stem)
-    return entry, real
+    return next((e, r) for e in corpus() for r in e.realizations if r.stem == stem)
 
 
 def test_criterion_1_corpus_round_trip():

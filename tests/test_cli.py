@@ -23,7 +23,7 @@ from convexcodes.codes import (
     word_label,
 )
 from convexcodes.formats import parse_code, serialize_code
-from convexcodes.generators import corpus_names, gen_an, gen_cn
+from convexcodes.generators import gen_an, gen_cn
 from convexcodes.topology import Contractibility
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -190,8 +190,8 @@ def test_gen_family_files(tmp_path, capsys, family, n):
     assert [p.name for p in (tmp_path / "code").iterdir()] == [name]
     data = (tmp_path / "code" / name).read_bytes()
     assert data == (CORPUS / name).read_bytes()
-    entry = generators.corpus_entry(f"{family}_{n}")
-    assert len([l for l in data.decode().splitlines()[1:] if l]) == entry.expected.word_count
+    word_count = generators.FAMILIES[family].expected(n).word_count
+    assert len([l for l in data.decode().splitlines()[1:] if l]) == word_count
 
     # each tag adds its arrangement, the shipped file where the corpus has one
     for tag in generators.FAMILIES[family].realizations:
@@ -208,7 +208,7 @@ def test_gen_family_files(tmp_path, capsys, family, n):
 
 def test_gen_corpus_entry(tmp_path, capsys):
     # every corpus entry regenerates its shipped files, and together they are the corpus
-    for name in corpus_names():
+    for name in [e.name for e in generators.corpus()]:
         status, _, err = run(capsys, "gen", name, "--out", str(tmp_path))
         assert status == 0 and not err, name
     shipped = sorted(p.name for p in CORPUS.iterdir())

@@ -23,8 +23,6 @@ from convexcodes import (
 from convexcodes.generators import (
     barred,
     boxes6_code,
-    corpus_entry,
-    corpus_names,
     gen_an,
     gen_cn,
     gen_sn,
@@ -171,8 +169,9 @@ def test_corpus_expected_assertions(corpus_entries):
 
 
 def test_fan8_is_boxes6_style_duplicate_extension(corpus_entries):
-    fan8 = corpus_entry("fan8")
-    fan6 = corpus_entry("fan6")
+    entries = {e.name: e for e in corpus_entries}
+    fan8 = entries["fan8"]
+    fan6 = entries["fan6"]
     assert restrict(fan8.code, range(1, 7)) == fan6.code
     real8 = fan8.realizations[0].arrangement
     assert real8.sets[6] == real8.sets[0]
@@ -186,14 +185,6 @@ def test_neither8_restriction_word_counts():
     assert word([3]) in first.words  # the restriction gains the missing vertex
     second = restrict(c, [2, 3, 6, 7, 8])
     assert len(second.words) == 12
-
-
-def test_corpus_names_and_lookup():
-    names = corpus_names()
-    assert "boxes6" in names and "cn_4" in names
-    assert corpus_entry("sunflower3").code == corpus_entry("sunflower3").code
-    with pytest.raises(ValueError):
-        corpus_entry("nonesuch")
 
 
 def test_boxes6_code_is_stable():

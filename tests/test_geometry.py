@@ -348,10 +348,10 @@ def reference_witness(system, dim):
             active = [i for i in range(dim) if lows[i] or ups[i]]
             k = min(active, key=lambda i: lows[i] * ups[i])
             if len(active) == 1:
-                steps.append((k, [(key, *bound) for key, bound in system.rows.items()]))
+                steps.append((k, [row[:4] for row in system.rows.values()]))
                 break
             bounding, system = fm._eliminate(system, k)
-            steps.append((k, bounding))
+            steps.append((k, [row[:4] for row in bounding]))
     except fm._Infeasible:
         return None
     nums = [0] * dim
@@ -405,6 +405,25 @@ def test_witness_matches_always_eliminating_reference(system):
     kept = list(stored.rows.items())
     assert fm._witness(stored, dim) == reference_witness(stored, dim)
     assert list(stored.rows.items()) == kept
+
+
+def test_systems_hold_the_stored_rows_themselves(corpus_entries):
+    # a system keeps each row as the tuple it was given, and elimination
+    # hands back the system's own tuples as the rows that bound the variable
+    bounding_rows = 0
+    for real in (r for e in corpus_entries for r in e.realizations):
+        # a fresh arrangement, so that its rows are built here
+        arr = Arrangement(real.arrangement.dim, real.arrangement.topology, real.arrangement.sets)
+        for rows in arr._rows:
+            system = fm._extend(fm._IneqSystem(), rows)
+            assert system is not None, real.stem
+            assert all(any(v is row for row in rows) for v in system.rows.values()), real.stem
+            held = list(system.rows.values())
+            for k in range(arr.dim):
+                bounding, _ = fm._eliminate(system, k)
+                assert all(any(b is v for v in held) for b in bounding), real.stem
+                bounding_rows += len(bounding)
+    assert bounding_rows > 0
 
 
 def test_plane_solves_derive_no_rows(monkeypatch, corpus_entries):

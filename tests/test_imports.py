@@ -37,6 +37,17 @@ def test_exported_names_exist(path):
     assert not missing, f"{path.name} exports missing names {missing}"
 
 
+def test_only_fm_reads_system_rows():
+    # a system's rows, and so the stored-row layout, are read only inside fm.py
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "rows"]
+        if lines and path.name != "fm.py":
+            readers[path.name] = lines
+    assert not readers, f".rows read outside fm.py: {readers}"
+
+
 def test_package_imports_only_names_its_modules_define():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     for node in ast.walk(tree):
