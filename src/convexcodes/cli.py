@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .codes import (
     NeuralCode,
@@ -44,8 +43,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything cmd_analyze prints, recomputable from the code alone."""
 
     code: NeuralCode

@@ -8,9 +8,8 @@ package ships.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 MAX_NEURONS = 64
 
@@ -57,24 +56,53 @@ def word_key(w: Word) -> tuple[int, ...]:
     return members(w)
 
 
-@dataclass(frozen=True)
-class NeuralCode:
+class _Frozen:
+    """Value semantics for the records that validate or cache, which cannot be
+    NamedTuples: ``__init__`` puts the fields named in ``_fields`` straight
+    into the instance dict, equality and hash compare them, and no attribute
+    can be assigned or deleted afterwards (a ``cached_property`` writes the
+    dict directly, so it still caches)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NeuralCode(_Frozen):
     """A set of codewords over neurons 1..n.  Immutable; equality is set equality."""
 
-    n: int
-    words: frozenset[Word]
+    _fields = ("n", "words")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"neuron count must be a positive integer, got {self.n!r}")
-        if self.n > MAX_NEURONS:
-            raise ValueError(f"neuron count {self.n} exceeds the {MAX_NEURONS}-neuron cap")
-        allowed = full_word(self.n)
-        for w in self.words:
+    def __init__(self, n: int, words: frozenset[Word]) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"neuron count must be a positive integer, got {n!r}")
+        if n > MAX_NEURONS:
+            raise ValueError(f"neuron count {n} exceeds the {MAX_NEURONS}-neuron cap")
+        allowed = full_word(n)
+        for w in words:
             if w & ~allowed:
-                raise ValueError(
-                    f"codeword {word_label(w)} uses neurons beyond universe [{self.n}]"
-                )
+                raise ValueError(f"codeword {word_label(w)} uses neurons beyond universe [{n}]")
+        self.__dict__.update(n=n, words=words)
 
     def __contains__(self, w: Word) -> bool:
         return w in self.words
@@ -98,16 +126,17 @@ def neural_code(n: int, words: Iterable[Iterable[int]]) -> NeuralCode:
     return NeuralCode(n, frozenset(word(w) for w in words))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A simplicial complex stored by its inclusion-maximal faces (facets).
 
     Faces are codeword bitmasks over an ambient universe 1..n.  The empty
     face belongs to the complex whenever there is any facet at all.
     """
 
-    n: int
-    facets: frozenset[Word]
+    _fields = ("n", "facets")
+
+    def __init__(self, n: int, facets: frozenset[Word]) -> None:
+        self.__dict__.update(n=n, facets=facets)
 
     @cached_property
     def face_set(self) -> frozenset[Word]:
@@ -174,8 +203,7 @@ def simplicial_complex(code: NeuralCode) -> SimplicialComplex:
     return SimplicialComplex(code.n, maximal_codewords(code))
 
 
-@dataclass(frozen=True)
-class MaxIntersectionCheck:
+class MaxIntersectionCheck(NamedTuple):
     """Outcome of the max-intersection completeness test.
 
     When ``complete`` is false, ``witness_sets`` is a tuple of two or more
@@ -269,8 +297,7 @@ def permute(code: NeuralCode, pi: Mapping[int, int]) -> NeuralCode:
     )
 
 
-@dataclass(frozen=True)
-class AddCodewordResult:
+class AddCodewordResult(NamedTuple):
     """Result of adding a codeword: the new code plus context flags."""
 
     code: NeuralCode

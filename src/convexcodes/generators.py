@@ -14,8 +14,8 @@ neuron ``n + 1`` as the crossing set.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .codes import (
     MAX_NEURONS,
@@ -287,8 +287,7 @@ def _box2(lo: int, hi: int) -> Box:
     return ((Q(lo), Q(hi)), (Q(lo), Q(hi)))
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """An arrangement paired with a file stem and a sampling box for the
     randomized partition checks."""
 
@@ -297,8 +296,7 @@ class Realization:
     sample_box: Box
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(NamedTuple):
     """Optional property assertions attached to a corpus entry; tests check
     every field that is not None."""
 
@@ -314,8 +312,7 @@ class Expected:
     sunflower: bool | None = None
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     code: NeuralCode
     realizations: tuple[Realization, ...]
@@ -326,8 +323,7 @@ class CorpusEntry:
 _COMPLETE = dict(max_intersection_complete=True, locally_good=True, locally_good_checked=frozenset())
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A parametric family: its code for n, its realizations by tag (each a
     builder and the sampling box for n), and the corpus expectations for n."""
 

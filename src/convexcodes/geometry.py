@@ -32,15 +32,14 @@ inside it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import eq, le, lt, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .codes import NeuralCode, Word, full_word, members
+from .codes import NeuralCode, Word, _Frozen, full_word, members
 from .fm import _extend, _holds, _IneqSystem, _IntPoint, _negate, _solve, _Stored, _stored_rows
 
 Point = tuple[Fraction, ...]
@@ -67,8 +66,7 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     """One constraint ``coeffs · x  rel  bound`` over Fraction scalars."""
 
     coeffs: tuple[Fraction, ...]
@@ -82,21 +80,20 @@ def constraint(coeffs: Iterable, rel: Rel | str, bound) -> LinearConstraint:
     return LinearConstraint(tuple(_frac(c) for c in coeffs), r, _frac(bound))
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(_Frozen):
     """A convex set in R^dim given by a finite list of linear constraints."""
 
-    dim: int
-    constraints: tuple[LinearConstraint, ...]
+    _fields = ("dim", "constraints")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, constraints: tuple[LinearConstraint, ...]) -> None:
+        if isinstance(dim, bool):
+            raise ValueError(f"ambient dimension must be an integer, got {dim!r}")
+        if dim < 1:
             raise ValueError("ambient dimension must be positive")
-        for c in self.constraints:
-            if len(c.coeffs) != self.dim:
-                raise ValueError(
-                    f"constraint has {len(c.coeffs)} coefficients in dimension {self.dim}"
-                )
+        for c in constraints:
+            if len(c.coeffs) != dim:
+                raise ValueError(f"constraint has {len(c.coeffs)} coefficients in dimension {dim}")
+        self.__dict__.update(dim=dim, constraints=constraints)
 
 
 def polyhedron(dim: int, rows: Iterable[tuple]) -> Polyhedron:
@@ -104,27 +101,31 @@ def polyhedron(dim: int, rows: Iterable[tuple]) -> Polyhedron:
     return Polyhedron(dim, tuple(constraint(*row) for row in rows))
 
 
-@dataclass(frozen=True)
-class Arrangement:
-    """An ordered family of polyhedra with uniform topology in R^dim."""
+class Arrangement(_Frozen):
+    """An ordered family of polyhedra with uniform topology in R^dim.
 
-    dim: int
-    topology: Topology
-    sets: tuple[Polyhedron, ...]
+    ``topology`` may be given as a ``Topology`` or its value (``"open"`` or
+    ``"closed"``); any other value raises ``ValueError``."""
 
-    def __post_init__(self) -> None:
-        for k, p in enumerate(self.sets, start=1):
-            if p.dim != self.dim:
-                raise ValueError(f"set {k} lives in dimension {p.dim}, expected {self.dim}")
+    _fields = ("dim", "topology", "sets")
+
+    def __init__(self, dim: int, topology: Topology | str, sets: tuple[Polyhedron, ...]) -> None:
+        if isinstance(dim, bool):
+            raise ValueError(f"ambient dimension must be an integer, got {dim!r}")
+        topology = Topology(topology)
+        for k, p in enumerate(sets, start=1):
+            if p.dim != dim:
+                raise ValueError(f"set {k} lives in dimension {p.dim}, expected {dim}")
             for c in p.constraints:
-                if self.topology is Topology.OPEN and c.rel is Rel.EQ:
+                if topology is Topology.OPEN and c.rel is Rel.EQ:
                     raise TopologyError(
                         f"set {k}: equality constraint not allowed in an open arrangement"
                     )
-                if self.topology is Topology.CLOSED and c.rel is Rel.LT:
+                if topology is Topology.CLOSED and c.rel is Rel.LT:
                     raise TopologyError(
                         f"set {k}: strict constraint not allowed in a closed arrangement"
                     )
+        self.__dict__.update(dim=dim, topology=topology, sets=sets)
 
     @property
     def n(self) -> int:

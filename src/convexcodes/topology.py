@@ -27,10 +27,9 @@ free when it has one coface sigma ∪ {v}.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Container
+from typing import Container, NamedTuple
 
 from .codes import (
     NeuralCode,
@@ -53,8 +52,7 @@ class Contractibility(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class ContractibilityResult:
+class ContractibilityResult(NamedTuple):
     """Three-valued contractibility verdict with its certificate.
 
     Exactly one certificate field is populated for a decided status:
@@ -382,8 +380,7 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     return {f: res for f, res, _ in _mandatory_rows(cpx, ())[0]}
 
 
-@dataclass(frozen=True)
-class LocalObstructionReport:
+class LocalObstructionReport(NamedTuple):
     """Verdict of the locally-good test plus the faces it had to examine.
 
     ``checked`` maps each nonempty intersection of >= 2 maximal codewords

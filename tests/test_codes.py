@@ -77,6 +77,13 @@ def test_word_validation():
         NeuralCode(0, frozenset())
 
 
+def test_boolean_neuron_count_is_rejected():
+    # True == 1, but serializes as "neurons: True", which parse_code rejects
+    for n in (True, False):
+        with pytest.raises(ValueError, match=f"got {n}"):
+            neural_code(n, [[1]])
+
+
 def test_maximal_codewords_examples():
     assert maximal_codewords(boxes6_code()) == wset((1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 3, 6))
     assert maximal_codewords(neural_code(1, [[]])) == wset(())

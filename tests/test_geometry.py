@@ -34,6 +34,7 @@ from convexcodes import (
 )
 from convexcodes import fm, geometry
 from convexcodes.cli import build_analysis
+from convexcodes.formats import serialize_arrangement
 from convexcodes.geometry import interpreted_constraints
 from convexcodes.generators import (
     boxes6_realization,
@@ -546,6 +547,30 @@ def test_arrangement_validation():
         Arrangement(2, Topology.CLOSED, (strict,))
     with pytest.raises(ValueError):
         Arrangement(1, Topology.CLOSED, (unit_square(),))
+
+
+def test_arrangement_reads_topology_by_value():
+    # a topology given by its value is the topology itself, not a string that
+    # matches neither member and so reads as open
+    point = polyhedron(1, [((1,), "<=", 0), ((-1,), "<=", 0)])
+    for value in ("closed", Topology.CLOSED):
+        arr = Arrangement(1, value, (point,))
+        assert arr.topology is Topology.CLOSED
+        assert code_of_arrangement(arr) == neural_code(1, [[], [1]])
+        assert serialize_arrangement(arr) == serialize_arrangement(
+            Arrangement(1, Topology.CLOSED, (point,))
+        )
+    assert Arrangement(1, "open", ()).topology is Topology.OPEN
+    with pytest.raises(ValueError):
+        Arrangement(1, "bogus", (point,))
+
+
+def test_boolean_dimension_is_rejected():
+    # True == 1, but serializes as "dimension: True", which no parser reads back
+    with pytest.raises(ValueError, match="got True"):
+        Polyhedron(True, ())
+    with pytest.raises(ValueError, match="got True"):
+        Arrangement(True, Topology.CLOSED, ())
 
 
 # --- atoms and code extraction --------------------------------------------------------

@@ -1,11 +1,15 @@
 """The runtime is standard-library only: every import under src/convexcodes
 names a standard-library module or the package itself.  Every exported name
-exists, and the package imports each name from a module that has it."""
+exists, and the package imports each name from a module that has it.  The
+records are NamedTuples or plain classes, so importing the command line
+loads neither ``dataclasses`` nor ``inspect``."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +32,20 @@ def top_level_imports(path: Path) -> set[str]:
 def test_imports_are_stdlib_or_package(path):
     outside = top_level_imports(path) - set(sys.stdlib_module_names) - {"convexcodes"}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_no_module_imports_dataclasses():
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in top_level_imports(p)]
+    assert not users, f"dataclasses imported by {users}"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    script = "import sys, convexcodes.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
