@@ -117,19 +117,26 @@ def serialize_code(code: NeuralCode) -> str:
     return "\n".join(lines) + "\n"
 
 
-# an integer or p/q; Fraction() alone would also take decimals and exponents,
-# and an exponent like 1e10000000 costs time and memory to expand
-_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# p/q; Fraction() alone would also take decimals and exponents, and an
+# exponent like 1e10000000 costs time and memory to expand
+_RATIO = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
 
 
 def _parse_number(token: str, lineno: int) -> Fraction:
-    m = _NUMBER.fullmatch(token)
+    """An integer or p/q in ASCII decimal digits, the integer sign optional."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isascii() and digits.isdigit():
+        try:
+            return Fraction(int(token))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(lineno, f"bad number {token!r}") from None
+    m = _RATIO.fullmatch(token)
     if m is None:
         raise ParseError(lineno, f"bad number {token!r}")
     p, q = m.groups()
     try:
         # int() of the matched digits; Fraction(token) would parse them again
-        return Fraction(int(p), int(q) if q else 1)
+        return Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
         raise ParseError(lineno, f"bad number {token!r}") from None
 

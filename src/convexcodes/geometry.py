@@ -15,18 +15,20 @@ An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
 the set of membership patterns sigma for which the atom
 ``U_sigma minus the union of the other sets`` is nonempty.  Extraction
-searches the closed faces of the nerve, those sigma whose region U_sigma
-lies in no set outside sigma: every codeword is one.  A face whose region
-lies inside a skipped set of smaller index is dropped with everything the
-search would add to it, so k sets through one point cost as many faces as
-distinct intersection regions, not 2^k.  The atom of each remaining closed
-face is decided by a depth-first search over one negated row per avoided
-set, with incremental infeasibility pruning.  Each face keeps the
-normalised system of U_sigma, so a child, a containment test or an atom
-branch adds only its own rows to it.  The points the search finds are
-kept, keyed by their membership patterns: those patterns are codewords,
-and they answer without a solve whether U_sigma meets a set or is not
-inside it.
+searches once per group of equal sets, those with the same stored rows in
+any order or scale, and each copy of a set joins every codeword its first
+copy is in.  It searches the closed faces of the nerve, those sigma whose
+region U_sigma lies in no set outside sigma: every codeword is one.  A face
+whose region lies inside a skipped set of smaller index is dropped with
+everything the search would add to it, so k sets through one point cost as
+many faces as distinct intersection regions, not 2^k, and k copies of a set
+cost as much as one.  The atom of each remaining closed face is decided by
+a depth-first search over one negated row per avoided set, with
+incremental infeasibility pruning.  Each face keeps the normalised system
+of U_sigma, so a child, a containment test or an atom branch adds only its
+own rows to it.  The points the search finds are kept, keyed by their
+membership patterns: those patterns are codewords, and they answer without
+a solve whether U_sigma meets a set or is not inside it.
 """
 
 from __future__ import annotations
@@ -112,6 +114,8 @@ class Arrangement(_Frozen):
     def __init__(self, dim: int, topology: Topology | str, sets: tuple[Polyhedron, ...]) -> None:
         if isinstance(dim, bool):
             raise ValueError(f"ambient dimension must be an integer, got {dim!r}")
+        if dim < 1:
+            raise ValueError("ambient dimension must be positive")
         topology = Topology(topology)
         for k, p in enumerate(sets, start=1):
             if p.dim != dim:
@@ -311,6 +315,12 @@ def find_atom_point(arr: Arrangement, sigma: Word) -> Point | None:
 def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     """Extract the code of the arrangement: all sigma with a nonempty atom.
 
+    Sets with the same stored rows, in any order or scale, are one set: the
+    search below runs over the first copy of each, and each pattern it finds
+    is expanded so that a copy of a set is in every codeword the set is in.
+    So its cost follows the number of distinct sets, not of their copies;
+    an arrangement without equal sets is searched as it is.
+
     The search runs over the closed faces of the nerve.  A codeword sigma is
     closed: U_sigma lies in no set outside sigma, since a point of its atom
     avoids them all.  Faces are discovered breadth-first from the empty
@@ -352,7 +362,14 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     """
     if arr.n > 20:
         raise ValueError(f"arrangement has {arr.n} sets; extraction is capped at 20")
-    sets = arr._rows
+    # the copies of each distinct set as a mask, keyed by its stored rows
+    groups: dict[frozenset[_Stored], Word] = {}
+    for i, rows in enumerate(arr._rows):
+        key = frozenset(rows)
+        groups[key] = groups.get(key, 0) | 1 << i
+    copies = list(groups.values())
+    sets = [arr._rows[(c & -c).bit_length() - 1] for c in copies]
+    n = len(sets)
     dim = arr.dim
     origin = ([0] * dim, 1)
     pool: dict[Word, _IntPoint] = {_pattern(sets, origin): origin}
@@ -384,7 +401,7 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
 
         # the smallest known containing set already skips sigma's atom search
         # and bounds its children, so larger sets need no test
-        cover = (known & -known).bit_length() or arr.n + 1
+        cover = (known & -known).bit_length() or n + 1
         for j in members(meets & ~leaves & ~sigma & ~known):
             if j > cover:
                 break
@@ -403,7 +420,7 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
         if cover < top:
             continue
         children = []
-        for j in range(top + 1, min(cover, arr.n) + 1):
+        for j in range(top + 1, min(cover, n) + 1):
             bit = 1 << (j - 1)
             if meets & bit:
                 children.append((j, system, sets[j - 1]))
@@ -423,7 +440,9 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
             atom = _atom_search(sets, dim, sigma, system, witness, meets, apart)
             if atom is not None:
                 pool[sigma] = atom
-    return NeuralCode(arr.n, frozenset(pool))
+    return NeuralCode(
+        arr.n, frozenset([sum(c for j, c in enumerate(copies) if p >> j & 1) for p in pool])
+    )
 
 
 def line_meets(

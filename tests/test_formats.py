@@ -87,7 +87,12 @@ def test_parse_arrangement_rationals_are_canonicalized():
     assert serialize_arrangement(arr) == "dimension: 1\ntopology: closed\nset 1\n1/2 <= -3/2\n"
 
 
-@pytest.mark.parametrize("token", ["1e10000000", "1E5", "0.5", ".5", "1_000", "1/2e3", "inf", "1/"])
+@pytest.mark.parametrize(
+    "token",
+    ["1e10000000", "1E5", "0.5", ".5", "1_000", "1/2e3", "inf", "1/"]
+    # more digits than int() converts
+    + [pytest.param("9" * 5000, id="9x5000")],
+)
 def test_parse_arrangement_rejects_numbers_outside_grammar(token):
     text = f"dimension: 1\ntopology: closed\nset 1\n1 <= 0\n{token} <= 1\n"
     start = time.perf_counter()

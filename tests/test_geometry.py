@@ -573,6 +573,16 @@ def test_boolean_dimension_is_rejected():
         Arrangement(True, Topology.CLOSED, ())
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_nonpositive_dimension_is_rejected(dim):
+    # an arrangement with no sets meets no Polyhedron to reject its dimension,
+    # and it would serialize to a file that parse_arrangement rejects
+    with pytest.raises(ValueError, match="must be positive"):
+        Polyhedron(dim, ())
+    with pytest.raises(ValueError, match="must be positive"):
+        Arrangement(dim, Topology.CLOSED, ())
+
+
 # --- atoms and code extraction --------------------------------------------------------
 
 
