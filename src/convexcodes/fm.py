@@ -20,8 +20,9 @@ only its new rows (which alone may prove it empty), then eliminates, and the
 extended system is kept for the solves that build on it.
 
 Callers store rows (``_stored_rows``), extend a system, solve, ask a system
-whether it ``implies`` a row, negate a row and test whether it holds at a
-point; the stored-row layout and a system's rows are read only here.
+whether it ``implies`` a row, negate a row and test whether all rows of a
+set hold at a point (``_holds``); the stored-row layout and a system's rows
+are read only here.
 """
 
 from __future__ import annotations
@@ -69,12 +70,15 @@ def _negate(row: _Stored) -> _Stored:
     return neg, -num, den, not strict, key
 
 
-def _holds(row: _Stored, point: _IntPoint) -> bool:
-    key, num, d, strict, _ = row
+def _holds(rows: Iterable[_Stored], point: _IntPoint) -> bool:
+    """Whether every row holds at point."""
     nums, den = point
-    lhs = sum(map(mul, key, nums)) * d
-    rhs = num * den
-    return lhs < rhs if strict else lhs <= rhs
+    for key, num, d, strict, _ in rows:
+        lhs = sum(map(mul, key, nums)) * d
+        rhs = num * den
+        if lhs > rhs or (strict and lhs == rhs):
+            return False
+    return True
 
 
 class _Infeasible(Exception):
@@ -212,17 +216,20 @@ def _witness(system: _IneqSystem, dim: int) -> _IntPoint | None:
     den = 1
     try:
         while system.rows:
-            # eliminate the variable with the fewest lower × upper row pairs
-            lows = [0] * dim
-            ups = [0] * dim
-            for key in system.rows:
-                for i, v in enumerate(key):
+            # eliminate the variable with the fewest lower × upper row pairs,
+            # the lowest index on a tie, in one pass over the columns
+            active = []
+            for i, col in enumerate(zip(*system.rows)):
+                lows = ups = 0
+                for v in col:
                     if v < 0:
-                        lows[i] += 1
+                        lows += 1
                     elif v > 0:
-                        ups[i] += 1
-            active = [i for i in range(dim) if lows[i] or ups[i]]
-            k = min(active, key=lambda i: lows[i] * ups[i])
+                        ups += 1
+                if lows or ups:
+                    if not active or lows * ups < fewest:
+                        k, fewest = i, lows * ups
+                    active.append(i)
             if len(active) > 2:
                 bounding, system = _eliminate(system, k)
                 steps.append((k, bounding))

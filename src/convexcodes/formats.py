@@ -162,6 +162,8 @@ def parse_arrangement(text: str) -> Arrangement:
 
     sets: list[Polyhedron] = []
     current: list[LinearConstraint] | None = None
+    # each distinct number token is parsed once, at its first appearance
+    numbers: dict[str, Fraction] = {}
 
     def flush() -> None:
         if current is not None:
@@ -194,9 +196,12 @@ def parse_arrangement(text: str) -> Arrangement:
             rel = Rel.EQ
         else:
             raise ParseError(lineno, f"unknown relation {rel_token!r}")
-        coeffs = tuple(_parse_number(t, lineno) for t in tokens[:dim])
-        bound = _parse_number(tokens[dim + 1], lineno)
-        current.append(LinearConstraint(coeffs, rel, bound))
+        del tokens[dim]
+        for t in tokens:
+            if t not in numbers:
+                numbers[t] = _parse_number(t, lineno)
+        values = [numbers[t] for t in tokens]
+        current.append(LinearConstraint(tuple(values[:dim]), rel, values[dim]))
     flush()
     if not sets:
         raise ParseError(len(text.splitlines()) or 1, "arrangement has no sets")

@@ -6,10 +6,12 @@ the API.  ``integer_rows`` scales them to integer rows: an integer
 coefficient vector, an integer bound and a strict flag, an equality being
 two opposite weak rows.  Feasibility is the exact Fourier-Motzkin kernel of
 ``fm``, which decides both open and closed semantics on these rows in
-integers.  An arrangement hands each of its rows to the kernel's stored form
-once, on first use, and every query on it reuses them.  Membership evaluates
-rows in integers at a kernel witness; Fractions appear again only in the
-points the API returns.
+integers.  An arrangement checks its constraints against its topology when
+it is built, and builds its rows from those validated constraints, every row
+strict under OPEN; it hands each row to the kernel's stored form once, on
+first use, and every query on it reuses them.  Membership asks the kernel,
+once per set, whether the set's rows hold in integers at a kernel witness;
+Fractions appear again only in the points the API returns.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -137,9 +139,16 @@ class Arrangement(_Frozen):
 
     @cached_property
     def _rows(self) -> tuple[tuple[_Stored, ...], ...]:
-        """The stored rows of each set under the topology, built on first use."""
+        """The stored rows of each set under the topology, built on first use.
+
+        ``__init__`` already rejected the relations the topology forbids, so
+        the rows come from the constraints as they are, every one strict under
+        OPEN: those of ``interpreted_constraints``, without rebuilding them.
+        """
+        open_ = self.topology is Topology.OPEN
         return tuple(
-            _stored_rows(integer_rows(interpreted_constraints(p, self.topology))) for p in self.sets
+            [_stored_rows([(key, b, open_ or s) for key, b, s in integer_rows(p.constraints)])
+             for p in self.sets]
         )
 
 
@@ -175,9 +184,13 @@ def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
     rows: list[Row] = []
     for c in constraints:
         b = _frac(c.bound)
-        den = lcm(b.denominator, *(a.denominator for a in c.coeffs))
-        key = tuple([a.numerator * (den // a.denominator) for a in c.coeffs])
-        bound = b.numerator * (den // b.denominator)
+        den = lcm(b.denominator, *[a.denominator for a in c.coeffs])
+        if den == 1:
+            key = tuple([a.numerator for a in c.coeffs])
+            bound = b.numerator
+        else:
+            key = tuple([a.numerator * (den // a.denominator) for a in c.coeffs])
+            bound = b.numerator * (den // b.denominator)
         if c.rel is Rel.EQ:
             rows.append((tuple([-v for v in key]), -bound, False))
         rows.append((key, bound, c.rel is Rel.LT))
@@ -235,7 +248,7 @@ def _pattern(sets: Sequence[Sequence[_Stored]], point: _IntPoint) -> Word:
     """The codeword of the sets, given by their rows, containing point."""
     w = 0
     for i, rows in enumerate(sets):
-        if all(_holds(r, point) for r in rows):
+        if _holds(rows, point):
             w |= 1 << i
     return w
 
@@ -281,7 +294,7 @@ def _atom_search(
         if level == len(levels):
             return witness
         for nb in levels[level]:
-            if _holds(nb, witness):
+            if _holds((nb,), witness):
                 found = search(level + 1, system, pending + [nb], witness)
             else:
                 solved = _solve(system, pending + [nb], dim)

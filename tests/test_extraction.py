@@ -20,6 +20,7 @@ from convexcodes import (
     Polyhedron,
     Rel,
     Topology,
+    TopologyError,
     code_of_arrangement,
     feasible_point,
     integer_rows,
@@ -30,6 +31,7 @@ from convexcodes import (
 )
 from convexcodes import geometry
 from convexcodes.codes import NeuralCode
+from convexcodes.fm import _stored_rows
 from convexcodes.generators import realization_an_r2, realization_cn_rn, realization_sn_r2
 from convexcodes.geometry import interpreted_constraints
 
@@ -259,6 +261,40 @@ def test_extracted_codes_have_no_local_obstruction(arr):
     # a code realized by convex sets, open (Curto et al. 2017) or closed
     # (Cruz et al. 2019), has no local obstruction
     assert is_locally_good(code_of_arrangement(arr)).verdict is True
+
+
+def old_rows(arr: Arrangement) -> tuple:
+    """The arrangement's stored rows built from its interpreted constraints."""
+    return tuple(
+        _stored_rows(integer_rows(interpreted_constraints(p, arr.topology))) for p in arr.sets
+    )
+
+
+def both_topologies(arr: Arrangement) -> list[Arrangement]:
+    """The arrangement's sets under each topology that admits them."""
+    out = []
+    for topology in Topology:
+        try:
+            out.append(Arrangement(arr.dim, topology, arr.sets))
+        except TopologyError:
+            pass
+    return out
+
+
+def test_rows_are_the_interpreted_rows_on_the_corpus(corpus_entries):
+    for entry in corpus_entries:
+        for real in entry.realizations:
+            for arr in both_topologies(real.arrangement):
+                assert arr._rows == old_rows(arr), (real.stem, arr.topology)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(arrangements(), box_chains()))
+# a strict row, which only an open arrangement admits
+@example(Arrangement(1, Topology.OPEN, (polyhedron(1, [((1,), "<", 2), ((-1,), "<=", 0)]),)))
+def test_rows_are_the_interpreted_rows(arr):
+    for a in both_topologies(arr):
+        assert a._rows == old_rows(a)
 
 
 def test_three_closed_lines_through_a_point():

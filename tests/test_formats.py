@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexcodes import Rel, Topology, neural_code, word
+from convexcodes import Rel, Topology, formats, neural_code, word
 from convexcodes.formats import (
     ParseError,
     _parse_number,
@@ -19,6 +20,7 @@ from convexcodes.formats import (
 from convexcodes.generators import corpus, sunflower3_code, sunflower3_realization
 
 Q = Fraction
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_parse_code_sunflower():
@@ -178,6 +180,35 @@ def test_parse_arrangement_accepts_signed_integers_and_fractions():
     arr = parse_arrangement("dimension: 2\ntopology: closed\nset 1\n+3 -1/2 <= -0\n")
     c = arr.sets[0].constraints[0]
     assert c.coeffs == (Q(3), Q(-1, 2)) and c.bound == 0
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.arr")), ids=lambda p: p.stem)
+def test_each_distinct_number_is_parsed_once(monkeypatch, path):
+    calls = []
+
+    def counted(token, lineno):
+        calls.append(token)
+        return _parse_number(token, lineno)
+
+    text = path.read_text(encoding="utf-8")
+    numbers = {
+        t
+        for line in text.splitlines()
+        if line and not line.startswith(("dimension:", "topology:", "set"))
+        for t in line.split()
+        if t not in ("<=", "=")
+    }
+    monkeypatch.setattr(formats, "_parse_number", counted)
+    # the table lives for one call, so a second parse reads each number again
+    assert parse_arrangement(text) == parse_arrangement(text)
+    assert len(calls) == 2 * len(numbers) and set(calls) == numbers
+
+
+def test_a_repeated_bad_number_reports_its_first_line():
+    text = "dimension: 1\ntopology: closed\nset 1\n1 <= 0\n0.5 <= 1\n0.5 <= 2\n"
+    with pytest.raises(ParseError) as err:
+        parse_arrangement(text)
+    assert err.value.line == 5
 
 
 def test_parse_arrangement_rejects_open_equality():
