@@ -159,6 +159,8 @@ def interpreted_constraints(
 
     Open convex sets are empty or full-dimensional, so equality constraints
     are rejected loudly under OPEN rather than treated as an empty set.
+    ``Arrangement._rows`` repeats the open rule, so a change to one is made
+    in both.
     """
     if topology is Topology.CLOSED:
         for c in poly.constraints:
@@ -184,13 +186,9 @@ def integer_rows(constraints: Iterable[LinearConstraint]) -> list[Row]:
     rows: list[Row] = []
     for c in constraints:
         b = _frac(c.bound)
-        den = lcm(b.denominator, *[a.denominator for a in c.coeffs])
-        if den == 1:
-            key = tuple([a.numerator for a in c.coeffs])
-            bound = b.numerator
-        else:
-            key = tuple([a.numerator * (den // a.denominator) for a in c.coeffs])
-            bound = b.numerator * (den // b.denominator)
+        den = lcm(b.denominator, *(a.denominator for a in c.coeffs))
+        key = tuple([a.numerator * (den // a.denominator) for a in c.coeffs])
+        bound = b.numerator * (den // b.denominator)
         if c.rel is Rel.EQ:
             rows.append((tuple([-v for v in key]), -bound, False))
         rows.append((key, bound, c.rel is Rel.LT))
