@@ -2,12 +2,15 @@
 
 Contractibility of a geometric realization is undecidable in general, so the
 decision procedure here is three-valued and tries, in order: an empty
-realization, a cone apex, a nonzero reduced Betti number over the rationals,
-and one greedy collapse down to a point.  CONTRACTIBLE comes with a checkable
-certificate (the cone apex, or the collapse sequence); NON_CONTRACTIBLE comes
-with the Betti number, or with the observation that the realization is
-empty.  UNKNOWN means the greedy collapse got stuck on a complex with zero
-rational homology, as on the 6-vertex real projective plane.
+realization, a cone apex, a disconnected realization, a nonzero reduced
+Betti number over the rationals, and one greedy collapse down to a point.
+The first three read the facets only; a disconnected complex gets its
+nonzero reduced Betti number in dimension 0.  CONTRACTIBLE comes with a
+checkable certificate (the cone apex, or the collapse sequence);
+NON_CONTRACTIBLE comes with the Betti number, or with the observation that
+the realization is empty.  UNKNOWN means the greedy collapse got stuck on a
+complex with zero rational homology, as on the 6-vertex real projective
+plane.
 
 One rule reads the facets before any face is built: the vertices outside a
 face f that lie in every facet above f.  For f = ∅ they are the cone apexes
@@ -278,11 +281,14 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
     """Decide contractibility of the geometric realization where possible.
 
     Decision order: empty realization (no nonempty facet), cone detection,
-    the first nonzero reduced Betti number, then one greedy collapse, which
-    is CONTRACTIBLE when it ends at a point.  The first two read the facets
-    only, and ``reduced_homology`` builds the faces of the strong core only.
-    A complex with zero rational homology on which the greedy collapse gets
-    stuck, such as the 6-vertex real projective plane, stays UNKNOWN.
+    disconnection, the first nonzero reduced Betti number, then one greedy
+    collapse, which is CONTRACTIBLE when it ends at a point.  The first
+    three read the facets only.  A disconnected complex has a nonzero
+    reduced Betti number in dimension 0, the first one ``reduced_homology``
+    reports, so only connected complexes reach it; it builds the faces of
+    the strong core only.  A complex with zero rational homology on which
+    the greedy collapse gets stuck, such as the 6-vertex real projective
+    plane, stays UNKNOWN.
     """
     if not any(cpx.facets):
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
@@ -291,6 +297,21 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
         return ContractibilityResult(
             Contractibility.CONTRACTIBLE, cone_apex=(common & -common).bit_length()
         )
+    # grow the vertices of one nonempty facet's component: each pass merges
+    # every facet that meets them, and a pass that merges none while facets
+    # are left has found a second component
+    rest = [f for f in cpx.facets if f]
+    reach = rest.pop()
+    while rest:
+        left = []
+        for f in rest:
+            if f & reach:
+                reach |= f
+            else:
+                left.append(f)
+        if len(left) == len(rest):
+            return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=0)
+        rest = left
     for k, b in enumerate(reduced_homology(cpx)):
         if b:
             return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k)

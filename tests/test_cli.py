@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
 import sys
 import time
 import tracemalloc
@@ -122,6 +123,39 @@ def test_large_facet_report_and_neither8_links_are_pinned(tmp_path, capsys):
         assert status == 0 and not err
         links.update(out.encode())
     assert links.hexdigest() == "dc1a503f350cffb070df78b793bb0694ffde246820b2dd80bee7f53f98ca7350"
+
+
+def seeded_codes(seed, count=200, n=10):
+    """Codes shaped like the benchmark's random ones: 3-7 maximal words of 2-5
+    of n neurons, each with up to two subwords, half of them with the empty word."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        words = {0} if rng.random() < 0.5 else set()
+        for _ in range(rng.randint(3, 7)):
+            top = rng.sample(range(1, n + 1), rng.randint(2, 5))
+            words.add(word(top))
+            for _ in range(rng.randint(0, 2)):
+                words.add(word(rng.sample(top, rng.randint(1, len(top) - 1))))
+        yield NeuralCode(n, frozenset(words))
+
+
+# the link of {7} has the facets {2,9} {3,4,5} {3,4,6,8} {8,9}: connected only
+# through {3,4,6,8}, which a component search must merge, not just drop
+CHAIN_CODE = NeuralCode(10, frozenset(word(w) for w in (
+    (2, 7, 9), (3, 4, 5, 7), (3, 4, 6, 7, 8), (3, 4, 7, 8), (3, 4, 8), (3, 5, 7),
+    (7, 8, 9), (7, 9), (9, 10),
+)))
+
+
+# pinned before disconnected links were decided from their facets
+def test_analyze_bytes_of_seeded_random_codes_are_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "c.code"
+    for code in (*seeded_codes(23), CHAIN_CODE):
+        path.write_text(serialize_code(code), encoding="utf-8")
+        status, out, err = run(capsys, "analyze", str(path), "--homology")
+        digest.update(f"{status}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "4a710579405269c00f94a7d73e449b8cf94754cb9c502211ceb6ab28243eec89"
 
 
 def test_analyze_parse_error(tmp_path, capsys):

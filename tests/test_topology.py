@@ -3,6 +3,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -399,6 +400,68 @@ def test_loop_beside_large_facet_is_decided_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+# --- disconnection read from the facets ---------------------------------------------
+
+
+def test_connected_link_is_connected_in_every_facet_order():
+    # {2,9} and {8,9} meet {3,4,5} only through {3,4,6,8}: a component that
+    # skips a facet meeting it, instead of merging it, reads this as disconnected
+    facets = [word(f) for f in ((2, 9), (3, 4, 5), (3, 4, 6, 8), (8, 9))]
+    for order in permutations(facets):
+        res = contractibility(SimplicialComplex(10, order))
+        assert res.describe() == "contractible [collapses to a point, 11 steps]", order
+
+
+def test_empty_facet_does_not_seed_a_component():
+    for facets in (frozenset({0, word([3])}), (0, word([3])), (word([3]), 0)):
+        res = contractibility(SimplicialComplex(4, facets))
+        assert res == ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=())
+
+
+def test_disconnected_complex_runs_no_homology(monkeypatch):
+    # each of the two 16-vertex facets alone has 2^16 faces
+    for name in ("reduced_homology", "_greedy_collapse"):
+        monkeypatch.setattr(topology, name, lambda *_: pytest.fail("homology computed"))
+    res = contractibility(cpx_of(32, tuple(range(1, 17)), tuple(range(17, 33))))
+    assert res == ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=0)
+
+
+def decision_in_homology_order(cpx):
+    """The reference decision with no disconnection test: empty, cone, the
+    first nonzero reduced Betti number, one collapse."""
+    if not any(cpx.facets):
+        return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)
+    common = ~0
+    for f in cpx.facets:
+        common &= f
+    if common:
+        return ContractibilityResult(
+            Contractibility.CONTRACTIBLE, cone_apex=(common & -common).bit_length()
+        )
+    for k, b in enumerate(reduced_homology(cpx)):
+        if b:
+            return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, nonzero_betti_dim=k)
+    core, steps = topology._greedy_collapse(cpx.face_set)
+    if len(core) == 2:
+        return ContractibilityResult(Contractibility.CONTRACTIBLE, collapse_steps=tuple(steps))
+    return ContractibilityResult(Contractibility.UNKNOWN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes(max_n=9, max_facets=7))
+def test_contractibility_matches_homology_order(cpx):
+    assert contractibility(cpx) == decision_in_homology_order(cpx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes(max_n=10))
+def test_contractibility_of_every_link_matches_homology_order(code):
+    cpx = simplicial_complex(code)
+    for f in cpx.face_set:
+        lk = link(cpx, f)
+        assert contractibility(lk) == decision_in_homology_order(lk), members(f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(complexes(max_n=5, max_facets=5))
 def test_no_contradictory_certificates(cpx):
@@ -604,6 +667,25 @@ def test_analysis_builds_links_only_for_facet_intersections(family, monkeypatch)
     monkeypatch.setattr(topology, "link", counted)
     build_analysis(family(6), include_homology=True)
     assert calls <= 100
+
+
+def test_analysis_runs_homology_only_on_connected_links(corpus_entries, monkeypatch):
+    # 96 of the 106 links these tables build are disconnected, which their
+    # facets decide; only the other 10 need reduced_homology
+    calls = 0
+    real_homology = topology.reduced_homology
+
+    def counted(cpx):
+        nonlocal calls
+        calls += 1
+        return real_homology(cpx)
+
+    monkeypatch.setattr(topology, "reduced_homology", counted)
+    codes = [entry.code for entry in corpus_entries] + [gen_an(6), gen_cn(6)]
+    assert len(codes) == 20
+    for code in codes:
+        build_analysis(code, include_homology=False)
+    assert calls == 10
 
 
 def test_locally_good_cross_check_on_corpus(corpus_entries):
