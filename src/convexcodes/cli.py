@@ -33,7 +33,6 @@ from .formats import (
 from .generators import FAMILIES, corpus, family_entry
 from .geometry import TopologyError, code_of_arrangement
 from .topology import (
-    Contractibility,
     ContractibilityResult,
     LocalObstructionReport,
     _mandatory_rows,
@@ -50,7 +49,7 @@ class AnalysisReport(NamedTuple):
     maximal: tuple[Word, ...]
     max_intersection_complete: bool
     incompleteness_witness: tuple[tuple[Word, ...], Word] | None
-    mandatory_table: tuple[tuple[Word, ContractibilityResult, bool], ...]
+    mandatory_table: tuple[str, ...]  # the table's text, 256 rows a string
     locally_good: bool | None
     locally_good_checked: tuple[tuple[Word, ContractibilityResult], ...]
     betti: tuple[int, ...] | None
@@ -62,7 +61,7 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     witness = None
     if not mic.complete:
         witness = (mic.witness_sets, mic.witness_value)
-    rows, linked = _mandatory_rows(cpx, code.words)
+    table, _, _, linked = _mandatory_rows(cpx, code.words)
     # the missing intersections are the faces not in the code that are
     # intersections of facets: the rows with no cone apex, which built a link
     lg = LocalObstructionReport(tuple((f, res) for f, res, in_code in linked if not in_code))
@@ -72,25 +71,15 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
         maximal=tuple(cpx.sorted_facets()),
         max_intersection_complete=mic.complete,
         incompleteness_witness=witness,
-        mandatory_table=tuple(rows),
+        mandatory_table=tuple(table),
         locally_good=lg.verdict,
         locally_good_checked=lg.checked,
         betti=betti,
     )
 
 
-_KIND = {
-    Contractibility.NON_CONTRACTIBLE: "mandatory", Contractibility.CONTRACTIBLE: "non-mandatory"
-}
-
-
 def render_analysis(report: AnalysisReport, out: TextIO) -> None:
-    """Write the report to ``out`` in chunks of rows, never holding its whole text.
-
-    A (certificate, in-code) tail is rendered once.  In ``word_key`` order, a
-    preorder, a row's parent (the row without its top vertex) is the last row
-    one vertex shorter, so its label is that row's plus ``,top``.
-    """
+    """Write the report's header, the table's chunks as the walk wrote them, and its Betti line."""
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
@@ -111,29 +100,11 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
     else:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")
     lines.append("mandatory codewords of the code complex:")
-    rows = ["\n".join(lines) + "\n"]  # written 256 at a time: a write per row costs more
-    n = report.code.n
-    names = [str(i) for i in range(n + 1)]
-    # by in-code, then by id: the report keeps each result alive
-    tails: tuple[dict[int, str], dict[int, str]] = ({}, {})
-    heads = ["  face {"] * (n + 1)  # the last row of each size, up to its next vertex
-    for f, res, in_code in report.mandatory_table:
-        size = f.bit_count()
-        head = heads[size - 1] + names[f.bit_length()]
-        heads[size] = head + ","
-        tail = tails[in_code].get(id(res))
-        if tail is None:
-            kind = _KIND.get(res.status, "undetermined")
-            yes = "yes" if in_code else "no"
-            tail = tails[in_code][id(res)] = f"}}: {kind} ({res.describe()}), in code: {yes}\n"
-        rows.append(head + tail)
-        if len(rows) == 256:
-            out.write("".join(rows))
-            rows.clear()
+    out.write("\n".join(lines) + "\n")
+    out.writelines(report.mandatory_table)
     if report.betti is not None:
         rendered = " ".join(str(b) for b in report.betti)
-        rows.append(f"reduced betti numbers of the code complex: {rendered}\n")
-    out.write("".join(rows))
+        out.write(f"reduced betti numbers of the code complex: {rendered}\n")
 
 
 def _read(path: str) -> str:

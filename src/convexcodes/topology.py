@@ -18,9 +18,9 @@ of the complex; for a face of the mandatory-codeword table they are the cone
 apexes of its link, so only facet intersections build a link; for a vertex
 they say whether it is dominated (its link is a cone).  The table is one
 depth-first walk in lexicographic order that hands the facets above each
-face down to its children, so it builds no face set and sorts nothing.  A
-child f ∪ {v} with v in every facet above f has the same facets above it,
-so the walk hands them on unchanged.
+face down to its children, builds no face set, sorts nothing, and writes
+each row's line of ``analyze``'s table as it reaches the row; a child
+f ∪ {v} with v in every facet above f keeps the facets above f unchanged.
 Deleting dominated vertices keeps the homotopy type, so homology is
 computed on the strong core that is left, with boundary-matrix ranks
 reduced in integers.  Collapses find free faces one vertex up: sigma is
@@ -324,13 +324,26 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
 # --- mandatory codewords and local obstructions ---------------------------------
 
 
-# a row of the mandatory-codeword table: face, link status, face is a codeword
+# a row that built its link: face, link status, face is a codeword
 Row = tuple[Word, ContractibilityResult, bool]
 
+_KIND = {
+    Contractibility.NON_CONTRACTIBLE: "mandatory", Contractibility.CONTRACTIBLE: "non-mandatory"
+}
 
-def _mandatory_rows(cpx: SimplicialComplex, words: Container[Word]) -> tuple[list[Row], list[Row]]:
-    """The row of every nonempty face in ``word_key`` order, and the rows that
-    built their link: the intersections of facets.
+
+def _with_tails(res: ContractibilityResult) -> tuple[ContractibilityResult, tuple[str, str]]:
+    """res, with a row's text after its label for a face not in the code and one in it."""
+    text = f"}}: {_KIND.get(res.status, 'undetermined')} ({res.describe()}), in code: "
+    return res, (text + "no\n", text + "yes\n")
+
+
+def _mandatory_rows(
+    cpx: SimplicialComplex, words: Container[Word]
+) -> tuple[list[str], list[Word], list[ContractibilityResult], list[Row]]:
+    """The mandatory-codeword table of every nonempty face in ``word_key`` order:
+    its text in chunks of 256 rows, its faces, their link statuses, and the rows
+    that built their link, the intersections of facets.
 
     A face f is a node of a depth-first walk that knows the facets above it
     and their intersection ``common``.  Each vertex v above max(f) of a facet
@@ -339,13 +352,21 @@ def _mandatory_rows(cpx: SimplicialComplex, words: Container[Word]) -> tuple[lis
     ``common``, every facet above f holds v, so f ∪ {v} has the same facets
     above it, and they are handed down as they are; only a v outside
     ``common`` filters them.  A row with no vertex above its max is a leaf.
-    """
-    rows: list[Row] = []
-    linked: list[Row] = []
-    cones: dict[Word, ContractibilityResult] = {}  # one certificate per apex bit
 
-    def walk(f: Word, above: list[Word], common: Word, rest: Word) -> None:
-        # rest: the vertices above max(f) of the facets above f
+    Each row's text is written when the walk reaches it: its label is its
+    parent's plus v, and a cone apex's two tails (in the code or not) are
+    rendered once, when the apex first answers a row.
+    """
+    chunks: list[str] = []
+    lines: list[str] = []
+    faces: list[Word] = []
+    statuses: list[ContractibilityResult] = []
+    linked: list[Row] = []
+    cones: dict[Word, tuple[ContractibilityResult, tuple[str, str]]] = {}  # by apex bit
+    names = [str(i) for i in range(cpx.n + 1)]
+
+    def walk(f: Word, head: str, above: list[Word], common: Word, rest: Word) -> None:
+        # head: the text before v, "  face {1,3,"; rest: the vertices above max(f) of facets above f
         while rest:
             v = rest & -rest
             rest ^= v
@@ -362,25 +383,33 @@ def _mandatory_rows(cpx: SimplicialComplex, words: Container[Word]) -> tuple[lis
             apexes = c & ~h
             if apexes:
                 low = apexes & -apexes
-                res = cones.get(low)
-                if res is None:
-                    res = cones[low] = ContractibilityResult(
+                cone = cones.get(low)
+                if cone is None:
+                    cone = cones[low] = _with_tails(ContractibilityResult(
                         Contractibility.CONTRACTIBLE, cone_apex=low.bit_length()
-                    )
-                rows.append((h, res, h in words))
+                    ))
+                res, tails = cone
             else:
-                row = (h, contractibility(link(cpx, h)), h in words)
-                rows.append(row)
-                linked.append(row)
+                res, tails = _with_tails(contractibility(link(cpx, h)))
+                linked.append((h, res, h in words))
+            faces.append(h)
+            statuses.append(res)
+            label = head + names[v.bit_length()]
+            lines.append(label + tails[h in words])
+            if len(lines) == 256:  # a write per row costs more
+                chunks.append("".join(lines))
+                lines.clear()
             if up:
-                walk(h, sub, c, up)
+                walk(h, label + ",", sub, c, up)
 
     facets = list(cpx.facets)
-    walk(0, facets, _apexes(facets, 0), _vertex_mask(facets))
-    # walk's closure holds walk, rows and linked: a cycle that would keep the
-    # rows alive until a full garbage collection, after the table is dropped
+    walk(0, "  face {", facets, _apexes(facets, 0), _vertex_mask(facets))
+    # walk's closure holds walk and the lists it fills: a cycle that would
+    # keep them alive until a full garbage collection, after the table is dropped
     del walk
-    return rows, linked
+    if lines:
+        chunks.append("".join(lines))
+    return chunks, faces, statuses, linked
 
 
 def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityResult]:
@@ -393,12 +422,12 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     facets build their link (Curto et al., *What makes a neural code
     convex?*, 2017); the others share one cone certificate per apex.
 
-    The rows come from one depth-first walk in ``word_key`` order that
-    builds no face set and sorts nothing.  Adding a vertex that lies in every
-    facet above a face keeps those facets, so the walk hands them down
-    unchanged, and in a subtree above a single facet it filters nothing.
+    The rows come from the walk that writes ``analyze``'s table: one walk in
+    ``word_key`` order that builds no face set and sorts nothing.  Adding a
+    vertex that lies in every facet above a face keeps those facets, so the
+    walk hands them down unchanged; above a single facet it filters nothing.
     """
-    return {f: res for f, res, _ in _mandatory_rows(cpx, ())[0]}
+    return dict(zip(*_mandatory_rows(cpx, ())[1:3]))  # faces, statuses
 
 
 class LocalObstructionReport(NamedTuple):

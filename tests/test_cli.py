@@ -25,7 +25,7 @@ from convexcodes.codes import (
 )
 from convexcodes.formats import parse_code, serialize_code
 from convexcodes.generators import gen_an, gen_cn
-from convexcodes.topology import Contractibility
+from convexcodes.topology import Contractibility, mandatory_codewords
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -439,7 +439,8 @@ def test_main_exits_only_with_0_1_or_2(tmp_path, capsys, argv):
 
 def render_analysis_by_lines(report):
     """The list-and-join renderer the streamed one replaced, one ``word_label``
-    call per row; kept as the oracle for its bytes."""
+    call per row, with rows from ``mandatory_codewords`` and the code's words;
+    kept as the oracle for its bytes."""
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
@@ -465,7 +466,8 @@ def render_analysis_by_lines(report):
     else:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")
     lines.append("mandatory codewords of the code complex:")
-    for f, res, in_code in report.mandatory_table:
+    for f, res in mandatory_codewords(simplicial_complex(report.code)).items():
+        in_code = f in report.code.words
         if res.status is Contractibility.NON_CONTRACTIBLE:
             kind = "mandatory"
         elif res.status is Contractibility.CONTRACTIBLE:
@@ -506,8 +508,8 @@ def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
 
 def test_shared_certificate_renders_both_tails(capsys, tmp_path):
     code = NeuralCode(3, frozenset({word([1, 2, 3]), word([1])}))
-    table = build_analysis(code).mandatory_table
-    tails = {(id(res), in_code) for _, res, in_code in table}
+    table = mandatory_codewords(simplicial_complex(code))
+    tails = {(id(res), f in code.words) for f, res in table.items()}
     assert any((key, not yes) in tails for key, yes in tails)
     path = tmp_path / "c.code"
     path.write_text(serialize_code(code), encoding="utf-8")
@@ -566,6 +568,23 @@ def test_analyze_streams_a_large_table(tmp_path, monkeypatch):
     )
     assert sink.size == 1_352_229
     assert peak < sink.size / 4, (peak, sink.size)
+
+
+def test_analysis_report_holds_about_its_text():
+    # {1..14},{1,15}: the report keeps the table as text, about one byte per
+    # byte written, and building it holds little more than that text
+    code = parse_code("neurons: 15\n" + " ".join(map(str, range(1, 15))) + "\n1 15\n")
+    tracemalloc.start()
+    try:
+        report = build_analysis(code, include_homology=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sink = ByteCount()
+    cli.render_analysis(report, sink)
+    assert sink.size == 1_352_229
+    assert peak < 2 * sink.size, (peak, sink.size)
+    assert held < 1.1 * sink.size, (held, sink.size)
 
 
 @pytest.mark.parametrize("case", ["unparsable", "missing", "build-fails"])

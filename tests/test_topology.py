@@ -639,14 +639,18 @@ def test_walk_matches_reference_walk(code):
     table = mandatory_codewords(cpx)
     assert list(table) == list(expected)
     assert table == expected
-    rows, linked = topology._mandatory_rows(cpx, code.words)
-    assert [(f, res) for f, res, _ in rows] == list(table.items())
-    assert all(in_code == (f in code.words) for f, _, in_code in rows)
+    chunks, faces, statuses, linked = topology._mandatory_rows(cpx, code.words)
+    assert list(zip(faces, statuses)) == list(table.items())
+    assert [text.count("\n") for text in chunks] == [
+        min(256, len(faces) - i) for i in range(0, len(faces), 256)
+    ]
     # a row builds its link exactly when it has no cone apex, and the
     # missing intersections are the linked rows not in the code
-    assert linked == [row for row in rows if row[1].cone_apex is None]
+    assert linked == [
+        (f, res, f in code.words) for f, res in table.items() if res.cone_apex is None
+    ]
     assert [f for f, _, in_code in linked if not in_code] == missing_intersections(code)
-    for certificates in (table.values(), (res for _, res, _ in rows)):
+    for certificates in (table.values(), statuses):
         by_apex = {}
         for res in certificates:
             if res.cone_apex is not None:
@@ -709,8 +713,8 @@ def test_analysis_locally_good_matches_is_locally_good(code):
     assert report.locally_good_checked == expected.checked
     # the obstruction is the first mandatory codeword the code lacks
     missing_mandatory = [
-        f for f, res, in_code in report.mandatory_table
-        if not in_code and res.status is Contractibility.NON_CONTRACTIBLE
+        f for f, res in mandatory_codewords(simplicial_complex(code)).items()
+        if f not in code.words and res.status is Contractibility.NON_CONTRACTIBLE
     ]
     assert expected.obstruction == next(iter(missing_mandatory), None)
 
