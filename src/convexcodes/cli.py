@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .codes import (
     NeuralCode,
@@ -32,14 +32,9 @@ from .formats import (
 )
 from .generators import FAMILIES, corpus, family_entry
 from .geometry import TopologyError, code_of_arrangement
-from .topology import (
-    ContractibilityResult,
-    LocalObstructionReport,
-    _mandatory_rows,
-    contractibility,
-    link,
-    reduced_homology,
-)
+
+if TYPE_CHECKING:
+    from .topology import ContractibilityResult
 
 
 class AnalysisReport(NamedTuple):
@@ -56,6 +51,9 @@ class AnalysisReport(NamedTuple):
 
 
 def build_analysis(code: NeuralCode, include_homology: bool = False) -> AnalysisReport:
+    # topology is imported by its two users, so code-of, verify and gen never load it
+    from .topology import LocalObstructionReport, _mandatory_rows, reduced_homology
+
     cpx = simplicial_complex(code)
     mic = is_max_intersection_complete(code)
     witness = None
@@ -182,6 +180,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    from .topology import contractibility, link
+
     code = parse_code(_read(args.code_file))
     try:
         face = word(_decimal(t) for t in args.face.split())

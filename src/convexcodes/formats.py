@@ -26,7 +26,8 @@ open topology.  Serialization never reorders constraints, so reports may
 reference row positions.
 
 The neuron count, the dimension, set indices and neuron indices are
-unsigned ASCII decimal integers, ``[0-9]+``.
+unsigned ASCII decimal integers, ``[0-9]+``; the dimension is at most
+``sys.maxsize``, the largest length of a list of coordinates.
 
 Both serializers are deterministic (equal values give byte-identical output,
 UTF-8, LF line endings), and parse∘serialize is the identity on canonical
@@ -36,6 +37,7 @@ form.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .codes import MAX_NEURONS, NeuralCode, Word, members, word, word_key
@@ -152,6 +154,9 @@ def parse_arrangement(text: str) -> Arrangement:
     dim = _parse_count(dim_line.removeprefix("dimension:").strip(), lineno, "dimension")
     if dim < 1:
         raise ParseError(lineno, "dimension must be positive")
+    if dim > sys.maxsize:
+        # a point of the arrangement is a list of dim coordinates
+        raise ParseError(lineno, f"dimension {dim} exceeds the largest list size, {sys.maxsize}")
     lineno, top_line = lines[1]
     if not top_line.startswith("topology:"):
         raise ParseError(lineno, "expected 'topology: open|closed' header")

@@ -189,6 +189,15 @@ def test_code_of_rejects_exponent_fast(tmp_path, capsys):
     assert "line 4: bad number '1e10000000'" in err
 
 
+def test_code_of_rejects_dimension_past_an_index(tmp_path, capsys):
+    # a row-less set still builds a point of dim coordinates
+    bad = tmp_path / "bad.arr"
+    bad.write_text("dimension: 99999999999999999999\ntopology: closed\nset 1\n")
+    status, out, err = run(capsys, "code-of", str(bad))
+    assert status == 1 and not out
+    assert err.startswith("error: line 1: dimension 99999999999999999999 exceeds")
+
+
 def test_verify_ok_and_mismatch(capsys):
     status, out, _ = run(
         capsys, "verify", str(CORPUS / "fan6.arr"), str(CORPUS / "fan6.code")

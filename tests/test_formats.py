@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -231,6 +232,17 @@ def test_parse_arrangement_structural_errors():
         parse_arrangement("dimension: 2\ntopology: sideways\nset 1\n")
     with pytest.raises(ParseError):
         parse_arrangement("dimension: 2\ntopology: closed\n")
+
+
+def test_parse_arrangement_rejects_dimension_past_an_index():
+    text = "# header next\ndimension: {}\ntopology: closed\nset 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_arrangement(text.format(sys.maxsize + 1))
+    assert err.value.line == 2 and str(sys.maxsize) in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_arrangement(text.format("9" * 20))
+    assert err.value.line == 2
+    assert parse_arrangement("dimension: 3\ntopology: closed\nset 1\n").dim == 3
 
 
 def test_arrangement_round_trip_on_corpus():

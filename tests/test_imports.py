@@ -1,8 +1,10 @@
 """The runtime is standard-library only: every import under src/convexcodes
 names a standard-library module or the package itself.  Every exported name
-exists, and the package imports each name from a module that has it.  The
-records are NamedTuples or plain classes, so importing the command line
-loads neither ``dataclasses`` nor ``inspect``."""
+exists, and the package resolves each name, on first access, from a module
+that has it: importing the package loads none of its modules, and only
+``analyze`` and ``link`` load ``topology``.  The records are NamedTuples or
+plain classes, so importing the command line loads neither ``dataclasses``
+nor ``inspect``."""
 
 from __future__ import annotations
 
@@ -67,9 +69,72 @@ def test_only_fm_reads_system_rows():
 
 
 def test_package_imports_only_names_its_modules_define():
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"convexcodes.{node.module}")
-            stale = [a.name for a in node.names if a.name not in vars(module)]
-            assert not stale, f"__init__ imports {stale} missing from {node.module}"
+    import convexcodes
+
+    for name, module in convexcodes._EXPORTS.items():
+        assert name in vars(importlib.import_module(f"convexcodes.{module}")), (
+            f"__init__ exports {name!r}, missing from {module}"
+        )
+    assert convexcodes.__all__ == list(convexcodes._EXPORTS)
+
+
+def test_package_names_every_submodule():
+    import convexcodes
+
+    assert convexcodes._SUBMODULES == {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+
+
+def _loaded_after(script: str) -> list[str]:
+    """The convexcodes modules a fresh interpreter holds after running script."""
+    script += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('convexcodes')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        cwd=SRC.parent.parent,
+    )
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_after("import convexcodes") == ["convexcodes"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_topology",
+    [
+        (["code-of", "corpus/fan6.arr"], False),
+        (["verify", "corpus/fan6.arr", "corpus/fan6.code"], False),
+        (["analyze", "corpus/fan6.code"], True),
+        (["link", "corpus/fan6.code", "--face", "1"], True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_only_analyze_and_link_load_topology(argv, loads_topology):
+    script = f"from convexcodes.cli import main\nassert main({argv!r}) == 0"
+    assert ("convexcodes.topology" in _loaded_after(script)) is loads_topology
+
+
+def test_submodules_resolve_as_package_attributes():
+    script = (
+        "import convexcodes, sys\n"
+        "assert convexcodes.topology.link is sys.modules['convexcodes.topology'].link\n"
+        "assert convexcodes.cli is sys.modules['convexcodes.cli']"
+    )
+    assert "convexcodes.cli" in _loaded_after(script)
+
+
+def test_names_resolve_on_access_and_stay_bound():
+    import convexcodes
+    from convexcodes import contractibility, topology
+
+    assert contractibility is topology.contractibility
+    assert vars(convexcodes)["contractibility"] is contractibility
+    namespace: dict = {}
+    exec("from convexcodes import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == set(convexcodes.__all__)
+    assert all(namespace[n] is getattr(convexcodes, n) for n in convexcodes.__all__)
+    assert set(convexcodes.__all__) <= set(dir(convexcodes))
+    assert convexcodes._SUBMODULES <= set(dir(convexcodes))
+    with pytest.raises(AttributeError, match="no attribute 'contractable'"):
+        convexcodes.contractable
+    assert not hasattr(convexcodes, "contractable")
