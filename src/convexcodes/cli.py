@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, NamedTuple, TextIO
 from .codes import (
     NeuralCode,
     Word,
-    is_max_intersection_complete,
+    _max_intersection_check,
     simplicial_complex,
     word,
     word_key,
@@ -55,18 +55,20 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     from .topology import LocalObstructionReport, _mandatory_rows, reduced_homology
 
     cpx = simplicial_complex(code)
-    mic = is_max_intersection_complete(code)
+    # the maximal codewords are the complex's facets, found once for both questions
+    maximal = cpx.sorted_facets()
+    mic = _max_intersection_check(maximal, code.words)
     witness = None
     if not mic.complete:
         witness = (mic.witness_sets, mic.witness_value)
-    table, _, _, linked = _mandatory_rows(cpx, code.words)
+    table, _, linked = _mandatory_rows(cpx, code.words)
     # the missing intersections are the faces not in the code that are
     # intersections of facets: the rows with no cone apex, which built a link
     lg = LocalObstructionReport(tuple((f, res) for f, res, in_code in linked if not in_code))
     betti = reduced_homology(cpx) if include_homology else None
     return AnalysisReport(
         code=code,
-        maximal=tuple(cpx.sorted_facets()),
+        maximal=tuple(maximal),
         max_intersection_complete=mic.complete,
         incompleteness_witness=witness,
         mandatory_table=tuple(table),

@@ -226,7 +226,11 @@ def max_intersections(code: NeuralCode) -> Iterator[tuple[Word, tuple[Word, ...]
     meets), so each value comes once, with as few maximal codewords as give
     it, in a deterministic order.
     """
-    maxima = sorted(maximal_codewords(code), key=word_key)
+    yield from _intersections(sorted(maximal_codewords(code), key=word_key))
+
+
+def _intersections(maxima: list[Word]) -> Iterator[tuple[Word, tuple[Word, ...]]]:
+    """``max_intersections`` of the maximal codewords in ``word_key`` order."""
     seen: dict[Word, tuple[Word, ...]] = {}
     frontier: list[Word] = []
     for a_idx in range(len(maxima)):
@@ -257,8 +261,14 @@ def is_max_intersection_complete(code: NeuralCode) -> MaxIntersectionCheck:
     The first missing intersection in breadth-first order is the witness, so
     it uses as few maximal codewords as possible and is deterministic.
     """
-    for v, sets in max_intersections(code):
-        if v not in code.words:
+    return _max_intersection_check(sorted(maximal_codewords(code), key=word_key), code.words)
+
+
+def _max_intersection_check(maxima: list[Word], words: frozenset[Word]) -> MaxIntersectionCheck:
+    """``is_max_intersection_complete`` of a code with these words and, in
+    ``word_key`` order, these maximal codewords."""
+    for v, sets in _intersections(maxima):
+        if v not in words:
             return MaxIntersectionCheck(False, sets, v)
     return MaxIntersectionCheck(True)
 

@@ -21,6 +21,11 @@ depth-first walk in lexicographic order that hands the facets above each
 face down to its children, builds no face set, sorts nothing, and writes
 each row's line of ``analyze``'s table as it reaches the row; a child
 f ∪ {v} with v in every facet above f keeps the facets above f unchanged.
+By the block rule, a row h with cone apex a whose children draw only from
+vertices in every facet above h, a not among them, has below it exactly
+the rows h ∪ S, S a nonempty subset of those vertices, all with apex a; the
+walk writes that block from a shared table of label suffixes instead of
+descending into it.
 Deleting dominated vertices keeps the homotopy type, so homology is
 computed on the strong core that is left, with boundary-matrix ranks
 reduced in integers.  Collapses find free faces one vertex up: sigma is
@@ -32,7 +37,7 @@ from __future__ import annotations
 import heapq
 from enum import Enum
 from math import gcd
-from typing import Container, NamedTuple
+from typing import Container, NamedTuple, Sequence
 
 from .codes import (
     NeuralCode,
@@ -326,6 +331,10 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
 
 # a row that built its link: face, link status, face is a codeword
 Row = tuple[Word, ContractibilityResult, bool]
+# a label suffix such as "3,5" and its vertices
+Label = tuple[str, Word]
+# a row the walk reached, its status, and the label table of the block below it
+Entry = tuple[Word, ContractibilityResult, Sequence[Label]]
 
 _KIND = {
     Contractibility.NON_CONTRACTIBLE: "mandatory", Contractibility.CONTRACTIBLE: "non-mandatory"
@@ -338,12 +347,32 @@ def _with_tails(res: ContractibilityResult) -> tuple[ContractibilityResult, tupl
     return res, (text + "no\n", text + "yes\n")
 
 
+def _label_table(up: Word, names: list[str], tables: dict[Word, list[Label]]) -> list[Label]:
+    """The label suffix and vertices of every nonempty subset of up, in ``word_key`` order.
+
+    With v the lowest vertex of up, the subsets are {v}, then v with each
+    subset of the rest, then the subsets of the rest; so each table is
+    built on its suffix's, which ``tables`` keeps for the length of a walk.
+    """
+    table = tables.get(up)
+    if table is None:
+        v = up & -up
+        name = names[v.bit_length()]
+        table = [(name, v)]
+        if up ^ v:
+            rest = _label_table(up ^ v, names, tables)
+            table += [(name + "," + s, v | b) for s, b in rest]
+            table += rest
+        tables[up] = table
+    return table
+
+
 def _mandatory_rows(
     cpx: SimplicialComplex, words: Container[Word]
-) -> tuple[list[str], list[Word], list[ContractibilityResult], list[Row]]:
+) -> tuple[list[str], list[Entry], list[Row]]:
     """The mandatory-codeword table of every nonempty face in ``word_key`` order:
-    its text in chunks of 256 rows, its faces, their link statuses, and the rows
-    that built their link, the intersections of facets.
+    its text in chunks of 256 rows, its rows as entries, and the rows that
+    built their link, the intersections of facets.
 
     A face f is a node of a depth-first walk that knows the facets above it
     and their intersection ``common``.  Each vertex v above max(f) of a facet
@@ -353,16 +382,23 @@ def _mandatory_rows(
     above it, and they are handed down as they are; only a v outside
     ``common`` filters them.  A row with no vertex above its max is a leaf.
 
+    The block rule: when a row h has a cone apex ``low``, every vertex its
+    children draw from (``up``) lies in every facet above h, and ``low`` is
+    not in ``up``, then every row below h is h ∪ S for a nonempty S ⊆ up,
+    with the same facets above it and the same cone certificate.  That
+    block is written in one pass over the label table of ``up`` instead of
+    being walked, and the entry of h carries the table (else an empty one).
+
     Each row's text is written when the walk reaches it: its label is its
     parent's plus v, and a cone apex's two tails (in the code or not) are
     rendered once, when the apex first answers a row.
     """
     chunks: list[str] = []
     lines: list[str] = []
-    faces: list[Word] = []
-    statuses: list[ContractibilityResult] = []
+    entries: list[Entry] = []
     linked: list[Row] = []
     cones: dict[Word, tuple[ContractibilityResult, tuple[str, str]]] = {}  # by apex bit
+    tables: dict[Word, list[Label]] = {}
     names = [str(i) for i in range(cpx.n + 1)]
 
     def walk(f: Word, head: str, above: list[Word], common: Word, rest: Word) -> None:
@@ -381,6 +417,7 @@ def _mandatory_rows(
                     up |= g
                 up &= -(v << 1)
             apexes = c & ~h
+            block: Sequence[Label] = ()
             if apexes:
                 low = apexes & -apexes
                 cone = cones.get(low)
@@ -389,17 +426,29 @@ def _mandatory_rows(
                         Contractibility.CONTRACTIBLE, cone_apex=low.bit_length()
                     ))
                 res, tails = cone
+                if up and not up & ~c and not up & low:
+                    block = _label_table(up, names, tables)
             else:
                 res, tails = _with_tails(contractibility(link(cpx, h)))
                 linked.append((h, res, h in words))
-            faces.append(h)
-            statuses.append(res)
+            entries.append((h, res, block))
             label = head + names[v.bit_length()]
             lines.append(label + tails[h in words])
             if len(lines) == 256:  # a write per row costs more
                 chunks.append("".join(lines))
                 lines.clear()
-            if up:
+            if block:
+                # in pieces that end where chunks end, so that no more than
+                # a chunk of lines is held
+                label += ","
+                i = 0
+                while i < len(block):
+                    j, i = i, i + 256 - len(lines)
+                    lines.extend([label + s + tails[h | b in words] for s, b in block[j:i]])
+                    if len(lines) == 256:
+                        chunks.append("".join(lines))
+                        lines.clear()
+            elif up:
                 walk(h, label + ",", sub, c, up)
 
     facets = list(cpx.facets)
@@ -409,7 +458,7 @@ def _mandatory_rows(
     del walk
     if lines:
         chunks.append("".join(lines))
-    return chunks, faces, statuses, linked
+    return chunks, entries, linked
 
 
 def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityResult]:
@@ -426,8 +475,17 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     ``word_key`` order that builds no face set and sorts nothing.  Adding a
     vertex that lies in every facet above a face keeps those facets, so the
     walk hands them down unchanged; above a single facet it filters nothing.
+    By the block rule, a row h with cone apex a whose children draw only
+    from vertices up in every facet above h, a not among them, has below it
+    exactly the rows h ∪ S, S ⊆ up nonempty, all with apex a: the walk
+    gives h with that block, and it is expanded here.
     """
-    return dict(zip(*_mandatory_rows(cpx, ())[1:3]))  # faces, statuses
+    table: dict[Word, ContractibilityResult] = {}
+    for h, res, block in _mandatory_rows(cpx, ())[1]:
+        table[h] = res
+        for _, b in block:
+            table[h | b] = res
+    return table
 
 
 class LocalObstructionReport(NamedTuple):

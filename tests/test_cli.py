@@ -505,6 +505,11 @@ def small_codes(draw):
 @example(NeuralCode(2, frozenset({word([1]), word([2])})))
 # the cone on 2 is the certificate of {1} (in the code) and of {1,3} (not)
 @example(NeuralCode(3, frozenset({word([1, 2, 3]), word([1])})))
+# the rows below {2} and below {3} are blocks with apex 1, below their roots,
+# and hold the codewords {2,4} and {3,5,7}: "in code" flips inside a block
+@example(NeuralCode(9, frozenset({full_word(8), word([2, 4]), word([3, 5, 7]), word([1, 9])})))
+# 4,097 rows, most of them in blocks longer than a chunk of 256 rows
+@example(NeuralCode(13, frozenset({full_word(12), word([1, 13])})))
 def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
     path = tmp_path / "c.code"
     path.write_text(serialize_code(code), encoding="utf-8")

@@ -633,16 +633,22 @@ def reference_mandatory_codewords(cpx):
 @given(codes(max_n=9, max_words=10))
 @example(NeuralCode(14, frozenset({full_word(14)})))
 @example(NeuralCode(13, frozenset({full_word(12), word([1, 13])})))
+# blocks with apex 1 below their roots {2} and {3}, holding the codewords
+# {2,4} and {3,5,7}, so that "in code" flips inside them
+@example(NeuralCode(9, frozenset({full_word(8), word([2, 4]), word([3, 5, 7]), word([1, 9])})))
 def test_walk_matches_reference_walk(code):
     cpx = simplicial_complex(code)
     expected = reference_mandatory_codewords(cpx)
     table = mandatory_codewords(cpx)
     assert list(table) == list(expected)
     assert table == expected
-    chunks, faces, statuses, linked = topology._mandatory_rows(cpx, code.words)
-    assert list(zip(faces, statuses)) == list(table.items())
+    chunks, entries, linked = topology._mandatory_rows(cpx, code.words)
+    # each entry is a row and the block of rows below it, all with its status
+    rows = [(h | b, res) for h, res, block in entries for b in (0, *(b for _, b in block))]
+    assert rows == list(table.items())
+    statuses = [res for _, res in rows]
     assert [text.count("\n") for text in chunks] == [
-        min(256, len(faces) - i) for i in range(0, len(faces), 256)
+        min(256, len(rows) - i) for i in range(0, len(rows), 256)
     ]
     # a row builds its link exactly when it has no cone apex, and the
     # missing intersections are the linked rows not in the code
