@@ -34,17 +34,18 @@ from .generators import FAMILIES, corpus, family_entry
 from .geometry import TopologyError, code_of_arrangement
 
 if TYPE_CHECKING:
-    from .topology import ContractibilityResult
+    from .topology import ContractibilityResult, Entry
 
 
 class AnalysisReport(NamedTuple):
-    """Everything cmd_analyze prints, recomputable from the code alone."""
+    """Everything cmd_analyze prints, recomputable from the code alone: the
+    mandatory-codeword table as the walk's entries, which render_analysis writes."""
 
     code: NeuralCode
     maximal: tuple[Word, ...]
     max_intersection_complete: bool
     incompleteness_witness: tuple[tuple[Word, ...], Word] | None
-    mandatory_table: tuple[str, ...]  # the table's text, 256 rows a string
+    mandatory_table: tuple[Entry, ...]
     locally_good: bool | None
     locally_good_checked: tuple[tuple[Word, ContractibilityResult], ...]
     betti: tuple[int, ...] | None
@@ -61,10 +62,12 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     witness = None
     if not mic.complete:
         witness = (mic.witness_sets, mic.witness_value)
-    table, _, linked = _mandatory_rows(cpx, code.words)
+    table = _mandatory_rows(cpx)
     # the missing intersections are the faces not in the code that are
     # intersections of facets: the rows with no cone apex, which built a link
-    lg = LocalObstructionReport(tuple((f, res) for f, res, in_code in linked if not in_code))
+    lg = LocalObstructionReport(tuple(
+        (f, res) for f, _, res, _ in table if res.cone_apex is None and f not in code.words
+    ))
     betti = reduced_homology(cpx) if include_homology else None
     return AnalysisReport(
         code=code,
@@ -78,8 +81,17 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     )
 
 
+# a table row's word for a link status, keyed by value: this module loads topology lazily
+_KIND = {"non-contractible": "mandatory", "contractible": "non-mandatory", "unknown": "undetermined"}
+
+
 def render_analysis(report: AnalysisReport, out: TextIO) -> None:
-    """Write the report's header, the table's chunks as the walk wrote them, and its Betti line."""
+    """Write the report's header, the mandatory-codeword table and its Betti line.
+
+    The one writer of the table's rows: each is "  face {", its label and
+    one of its status's two tails (in the code or not), rendered once per
+    status.  Rows are joined 256 at a time, each chunk written as it fills.
+    """
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
@@ -101,7 +113,29 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")
     lines.append("mandatory codewords of the code complex:")
     out.write("\n".join(lines) + "\n")
-    out.writelines(report.mandatory_table)
+    words = report.code.words
+    tails: dict[int, tuple[str, str]] = {}  # by id of a status the report holds
+    rows: list[str] = []
+    for h, label, res, block in report.mandatory_table:
+        pair = tails.get(id(res))
+        if pair is None:
+            text = f"}}: {_KIND[res.status.value]} ({res.describe()}), in code: "
+            pair = tails[id(res)] = (text + "no\n", text + "yes\n")
+        rows.append(f"  face {{{label}{pair[h in words]}")
+        if len(rows) == 256:  # a write per row costs more
+            out.write("".join(rows))
+            rows.clear()
+        if block:
+            # in pieces that end where chunks end, so that no more than a chunk is held
+            head = f"  face {{{label},"
+            i = 0
+            while i < len(block):
+                j, i = i, i + 256 - len(rows)
+                rows.extend([head + s + pair[h | b in words] for s, b in block[j:i]])
+                if len(rows) == 256:
+                    out.write("".join(rows))
+                    rows.clear()
+    out.write("".join(rows))
     if report.betti is not None:
         rendered = " ".join(str(b) for b in report.betti)
         out.write(f"reduced betti numbers of the code complex: {rendered}\n")

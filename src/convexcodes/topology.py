@@ -18,14 +18,14 @@ of the complex; for a face of the mandatory-codeword table they are the cone
 apexes of its link, so only facet intersections build a link; for a vertex
 they say whether it is dominated (its link is a cone).  The table is one
 depth-first walk in lexicographic order that hands the facets above each
-face down to its children, builds no face set, sorts nothing, and writes
-each row's line of ``analyze``'s table as it reaches the row; a child
+face down to its children, builds no face set and sorts nothing; a child
 f ∪ {v} with v in every facet above f keeps the facets above f unchanged.
 By the block rule, a row h with cone apex a whose children draw only from
 vertices in every facet above h, a not among them, has below it exactly
 the rows h ∪ S, S a nonempty subset of those vertices, all with apex a; the
-walk writes that block from a shared table of label suffixes instead of
-descending into it.
+walk gives h with a shared table of label suffixes for that block instead
+of descending into it.  The walk only decides: ``cli.render_analysis``
+writes the rows of ``analyze``'s table.
 Deleting dominated vertices keeps the homotopy type, so homology is
 computed on the strong core that is left, with boundary-matrix ranks
 reduced in integers.  Collapses find free faces one vertex up: sigma is
@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from enum import Enum
 from math import gcd
-from typing import Container, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .codes import (
     NeuralCode,
@@ -329,25 +329,13 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
 # --- mandatory codewords and local obstructions ---------------------------------
 
 
-# a row that built its link: face, link status, face is a codeword
-Row = tuple[Word, ContractibilityResult, bool]
-# a label suffix such as "3,5" and its vertices
-Label = tuple[str, Word]
-# a row the walk reached, its status, and the label table of the block below it
-Entry = tuple[Word, ContractibilityResult, Sequence[Label]]
-
-_KIND = {
-    Contractibility.NON_CONTRACTIBLE: "mandatory", Contractibility.CONTRACTIBLE: "non-mandatory"
-}
+# label suffixes such as "3,5" and their vertices: a table of a block's rows
+Labels = tuple[tuple[str, Word], ...]
+# a row the walk reached, its label such as "1,3", its status, and the labels of the block below it
+Entry = tuple[Word, str, ContractibilityResult, Labels]
 
 
-def _with_tails(res: ContractibilityResult) -> tuple[ContractibilityResult, tuple[str, str]]:
-    """res, with a row's text after its label for a face not in the code and one in it."""
-    text = f"}}: {_KIND.get(res.status, 'undetermined')} ({res.describe()}), in code: "
-    return res, (text + "no\n", text + "yes\n")
-
-
-def _label_table(up: Word, names: list[str], tables: dict[Word, list[Label]]) -> list[Label]:
+def _label_table(up: Word, names: list[str], tables: dict[Word, Labels]) -> Labels:
     """The label suffix and vertices of every nonempty subset of up, in ``word_key`` order.
 
     With v the lowest vertex of up, the subsets are {v}, then v with each
@@ -358,21 +346,14 @@ def _label_table(up: Word, names: list[str], tables: dict[Word, list[Label]]) ->
     if table is None:
         v = up & -up
         name = names[v.bit_length()]
-        table = [(name, v)]
-        if up ^ v:
-            rest = _label_table(up ^ v, names, tables)
-            table += [(name + "," + s, v | b) for s, b in rest]
-            table += rest
-        tables[up] = table
+        rest = _label_table(up ^ v, names, tables) if up ^ v else ()
+        table = tables[up] = ((name, v), *[(name + "," + s, v | b) for s, b in rest], *rest)
     return table
 
 
-def _mandatory_rows(
-    cpx: SimplicialComplex, words: Container[Word]
-) -> tuple[list[str], list[Entry], list[Row]]:
-    """The mandatory-codeword table of every nonempty face in ``word_key`` order:
-    its text in chunks of 256 rows, its rows as entries, and the rows that
-    built their link, the intersections of facets.
+def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
+    """The mandatory-codeword table of every nonempty face in ``word_key`` order,
+    as entries: each row the walk reaches, its label, status and block.
 
     A face f is a node of a depth-first walk that knows the facets above it
     and their intersection ``common``.  Each vertex v above max(f) of a facet
@@ -385,24 +366,17 @@ def _mandatory_rows(
     The block rule: when a row h has a cone apex ``low``, every vertex its
     children draw from (``up``) lies in every facet above h, and ``low`` is
     not in ``up``, then every row below h is h ∪ S for a nonempty S ⊆ up,
-    with the same facets above it and the same cone certificate.  That
-    block is written in one pass over the label table of ``up`` instead of
-    being walked, and the entry of h carries the table (else an empty one).
-
-    Each row's text is written when the walk reaches it: its label is its
-    parent's plus v, and a cone apex's two tails (in the code or not) are
-    rendered once, when the apex first answers a row.
+    with the same facets above it and the same cone certificate.  The entry
+    of h then carries the label table of ``up`` instead of being walked
+    below (else an empty table).  The walk only decides and writes no text.
     """
-    chunks: list[str] = []
-    lines: list[str] = []
     entries: list[Entry] = []
-    linked: list[Row] = []
-    cones: dict[Word, tuple[ContractibilityResult, tuple[str, str]]] = {}  # by apex bit
-    tables: dict[Word, list[Label]] = {}
+    cones: dict[Word, ContractibilityResult] = {}  # by apex bit
+    tables: dict[Word, Labels] = {}
     names = [str(i) for i in range(cpx.n + 1)]
 
     def walk(f: Word, head: str, above: list[Word], common: Word, rest: Word) -> None:
-        # head: the text before v, "  face {1,3,"; rest: the vertices above max(f) of facets above f
+        # head: the label of f and a comma, "1,3,"; rest: the vertices above max(f) of facets above f
         while rest:
             v = rest & -rest
             rest ^= v
@@ -417,48 +391,29 @@ def _mandatory_rows(
                     up |= g
                 up &= -(v << 1)
             apexes = c & ~h
-            block: Sequence[Label] = ()
+            block: Labels = ()
             if apexes:
                 low = apexes & -apexes
-                cone = cones.get(low)
-                if cone is None:
-                    cone = cones[low] = _with_tails(ContractibilityResult(
+                res = cones.get(low)
+                if res is None:
+                    res = cones[low] = ContractibilityResult(
                         Contractibility.CONTRACTIBLE, cone_apex=low.bit_length()
-                    ))
-                res, tails = cone
+                    )
                 if up and not up & ~c and not up & low:
                     block = _label_table(up, names, tables)
             else:
-                res, tails = _with_tails(contractibility(link(cpx, h)))
-                linked.append((h, res, h in words))
-            entries.append((h, res, block))
+                res = contractibility(link(cpx, h))
             label = head + names[v.bit_length()]
-            lines.append(label + tails[h in words])
-            if len(lines) == 256:  # a write per row costs more
-                chunks.append("".join(lines))
-                lines.clear()
-            if block:
-                # in pieces that end where chunks end, so that no more than
-                # a chunk of lines is held
-                label += ","
-                i = 0
-                while i < len(block):
-                    j, i = i, i + 256 - len(lines)
-                    lines.extend([label + s + tails[h | b in words] for s, b in block[j:i]])
-                    if len(lines) == 256:
-                        chunks.append("".join(lines))
-                        lines.clear()
-            elif up:
+            entries.append((h, label, res, block))
+            if up and not block:
                 walk(h, label + ",", sub, c, up)
 
     facets = list(cpx.facets)
-    walk(0, "  face {", facets, _apexes(facets, 0), _vertex_mask(facets))
+    walk(0, "", facets, _apexes(facets, 0), _vertex_mask(facets))
     # walk's closure holds walk and the lists it fills: a cycle that would
     # keep them alive until a full garbage collection, after the table is dropped
     del walk
-    if lines:
-        chunks.append("".join(lines))
-    return chunks, entries, linked
+    return entries
 
 
 def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityResult]:
@@ -471,17 +426,17 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     facets build their link (Curto et al., *What makes a neural code
     convex?*, 2017); the others share one cone certificate per apex.
 
-    The rows come from the walk that writes ``analyze``'s table: one walk in
-    ``word_key`` order that builds no face set and sorts nothing.  Adding a
-    vertex that lies in every facet above a face keeps those facets, so the
-    walk hands them down unchanged; above a single facet it filters nothing.
-    By the block rule, a row h with cone apex a whose children draw only
-    from vertices up in every facet above h, a not among them, has below it
-    exactly the rows h ∪ S, S ⊆ up nonempty, all with apex a: the walk
-    gives h with that block, and it is expanded here.
+    The rows come from the walk that decides ``analyze``'s table: one walk
+    in ``word_key`` order that builds no face set, sorts nothing and writes
+    no text.  Adding a vertex that lies in every facet above a face keeps
+    those facets, so the walk hands them down unchanged; above a single
+    facet it filters nothing.  By the block rule, a row h with cone apex a
+    whose children draw only from vertices up in every facet above h, a not
+    among them, has below it exactly the rows h ∪ S, S ⊆ up nonempty, all
+    with apex a: the walk gives h with that block, and it is expanded here.
     """
     table: dict[Word, ContractibilityResult] = {}
-    for h, res, block in _mandatory_rows(cpx, ())[1]:
+    for h, _, res, block in _mandatory_rows(cpx):
         table[h] = res
         for _, b in block:
             table[h | b] = res

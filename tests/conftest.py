@@ -21,11 +21,14 @@ def extracted_codes(corpus_entries):
     return out
 
 
+# the 6-vertex real projective plane: every edge lies in two triangles, so
+# no face is free, and its reduced rational homology is zero
+RP2_FACETS = (
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
+)
+
+
 @pytest.fixture(scope="session")
 def rp2_facets():
-    """The 6-vertex real projective plane: every edge lies in two triangles,
-    so no face is free, and its reduced rational homology is zero."""
-    return (
-        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-        (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6),
-    )
+    return RP2_FACETS

@@ -12,10 +12,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import RP2_FACETS
 from convexcodes import cli, generators
 from convexcodes.cli import build_analysis, main
 from convexcodes.codes import (
     NeuralCode,
+    complex_from_faces,
     full_word,
     members,
     simplicial_complex,
@@ -28,6 +30,13 @@ from convexcodes.generators import gen_an, gen_cn
 from convexcodes.topology import Contractibility, mandatory_codewords
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+# every face of the cone over RP² with apex 7 but {7}: the one missing
+# intersection of maximal codewords is {7}, whose link RP² stays UNKNOWN
+RP2_CONE_CODE = NeuralCode(
+    7, complex_from_faces(7, (word([*f, 7]) for f in RP2_FACETS)).face_set - {word([7])}
+)
 
 
 def run(capsys, *argv):
@@ -510,6 +519,8 @@ def small_codes(draw):
 @example(NeuralCode(9, frozenset({full_word(8), word([2, 4]), word([3, 5, 7]), word([1, 9])})))
 # 4,097 rows, most of them in blocks longer than a chunk of 256 rows
 @example(NeuralCode(13, frozenset({full_word(12), word([1, 13])})))
+# locally good: unknown, and the undetermined row {7}
+@example(RP2_CONE_CODE)
 def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
     path = tmp_path / "c.code"
     path.write_text(serialize_code(code), encoding="utf-8")
@@ -518,6 +529,15 @@ def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
         status, out, err = run(capsys, "analyze", str(path), *flags)
         assert status == 0 and not err
         assert out == render_analysis_by_lines(build_analysis(code, homology))
+
+
+def test_analyze_renders_undetermined_rows(capsys, tmp_path):
+    path = tmp_path / "c.code"
+    path.write_text(serialize_code(RP2_CONE_CODE), encoding="utf-8")
+    status, out, err = run(capsys, "analyze", str(path))
+    assert status == 0 and not err
+    assert "locally good: unknown\n" in out
+    assert "  face {7}: undetermined (unknown [no certificate within budget]), in code: no\n" in out
 
 
 def test_shared_certificate_renders_both_tails(capsys, tmp_path):
@@ -585,8 +605,8 @@ def test_analyze_streams_a_large_table(tmp_path, monkeypatch):
 
 
 def test_analysis_report_holds_about_its_text():
-    # {1..14},{1,15}: the report keeps the table as text, about one byte per
-    # byte written, and building it holds little more than that text
+    # {1..14},{1,15}: the report keeps the walk's entries, which hold less
+    # than the bytes written, and building it holds little more than them
     code = parse_code("neurons: 15\n" + " ".join(map(str, range(1, 15))) + "\n1 15\n")
     tracemalloc.start()
     try:

@@ -68,6 +68,17 @@ def test_only_fm_reads_system_rows():
     assert not readers, f".rows read outside fm.py: {readers}"
 
 
+def test_topology_holds_no_table_text():
+    # the walk in topology.py only decides; the table's rows are written in cli.py
+    path = SRC / "topology.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    lines = [
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and "in code:" in n.value
+    ]
+    assert not lines, f"row text in topology.py: {lines}"
+
+
 def test_package_imports_only_names_its_modules_define():
     import convexcodes
 

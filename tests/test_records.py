@@ -54,6 +54,10 @@ _CONE = (
     "ContractibilityResult(status=<Contractibility.CONTRACTIBLE: 'contractible'>, cone_apex=2, "
     "collapse_steps=None, nonzero_betti_dim=None, empty=False)"
 )
+_EMPTY = (
+    "ContractibilityResult(status=<Contractibility.NON_CONTRACTIBLE: 'non-contractible'>, "
+    "cone_apex=None, collapse_steps=None, nonzero_betti_dim=None, empty=True)"
+)
 _REALIZATION = (
     f"Realization(stem='point', arrangement={_ARRANGEMENT}, "
     "sample_box=((Fraction(-1, 1), Fraction(1, 1)),))"
@@ -117,9 +121,7 @@ RECORDS = [
         "betti",
         "AnalysisReport(code=NeuralCode(n=2, {{1} {2}}), maximal=(1, 2), "
         "max_intersection_complete=False, incompleteness_witness=((1, 2), 0), "
-        "mandatory_table=('  face {1}: mandatory (non-contractible [empty realization]), "
-        "in code: yes\\n  face {2}: mandatory (non-contractible [empty realization]), "
-        "in code: yes\\n',), locally_good=True, "
+        f"mandatory_table=((1, '1', {_EMPTY}, ()), (2, '2', {_EMPTY}, ())), locally_good=True, "
         "locally_good_checked=(), betti=None)",
     ),
     (Realization, _realization, "stem", _REALIZATION),

@@ -31,7 +31,7 @@ from convexcodes import (
     word_key,
 )
 from convexcodes.cli import build_analysis
-from convexcodes.codes import missing_intersections
+from convexcodes.codes import missing_intersections, word_label
 from convexcodes.generators import boxes6_code, gen_an, gen_cn, neither8_code, sunflower3_code
 
 
@@ -590,6 +590,18 @@ def test_mandatory_table_builds_no_face(monkeypatch):
     assert len(table) == 4114
 
 
+def test_mandatory_table_writes_no_text(monkeypatch):
+    # the walk only decides; a row's text is rendered by analyze alone
+    def refuse(self):
+        raise AssertionError("a status was rendered")
+
+    monkeypatch.setattr(ContractibilityResult, "describe", refuse)
+    code = gen_an(4)
+    cpx = simplicial_complex(code)
+    assert len(mandatory_codewords(cpx)) == len(cpx.face_set) - 1
+    build_analysis(code, include_homology=True)
+
+
 def test_mandatory_table_shares_cone_certificates():
     table = mandatory_codewords(simplicial_complex(gen_an(6)))
     cones = [res for res in table.values() if res.cone_apex is not None]
@@ -642,20 +654,20 @@ def test_walk_matches_reference_walk(code):
     table = mandatory_codewords(cpx)
     assert list(table) == list(expected)
     assert table == expected
-    chunks, entries, linked = topology._mandatory_rows(cpx, code.words)
-    # each entry is a row and the block of rows below it, all with its status
-    rows = [(h | b, res) for h, res, block in entries for b in (0, *(b for _, b in block))]
+    entries = topology._mandatory_rows(cpx)
+    # each entry is a row, its label and the block of rows below it, all with its status
+    rows = [(h | b, res) for h, _, res, block in entries for b in (0, *(b for _, b in block))]
     assert rows == list(table.items())
     statuses = [res for _, res in rows]
-    assert [text.count("\n") for text in chunks] == [
-        min(256, len(rows) - i) for i in range(0, len(rows), 256)
+    labels = [
+        label + s for h, label, _, block in entries
+        for s in ("", *("," + s for s, _ in block))
     ]
-    # a row builds its link exactly when it has no cone apex, and the
-    # missing intersections are the linked rows not in the code
-    assert linked == [
-        (f, res, f in code.words) for f, res in table.items() if res.cone_apex is None
-    ]
-    assert [f for f, _, in_code in linked if not in_code] == missing_intersections(code)
+    assert labels == [word_label(f)[1:-1] for f in table]
+    # the missing intersections are the rows with no cone apex not in the code
+    assert [
+        f for f, _, res, _ in entries if res.cone_apex is None and f not in code.words
+    ] == missing_intersections(code)
     for certificates in (table.values(), statuses):
         by_apex = {}
         for res in certificates:
