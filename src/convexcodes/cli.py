@@ -66,7 +66,7 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     # the missing intersections are the faces not in the code that are
     # intersections of facets: the rows with no cone apex, which built a link
     lg = LocalObstructionReport(tuple(
-        (f, res) for f, _, res, _ in table if res.cone_apex is None and f not in code.words
+        (f, res) for f, _, res, _, _ in table if res.cone_apex is None and f not in code.words
     ))
     betti = reduced_homology(cpx) if include_homology else None
     return AnalysisReport(
@@ -89,9 +89,14 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
     """Write the report's header, the mandatory-codeword table and its Betti line.
 
     The one writer of the table's rows: each is "  face {", its label and
-    one of its status's two tails (in the code or not), rendered once per
-    status.  Rows are joined 256 at a time, each chunk written as it fills.
+    one of its status's two tails (in code: no or yes), rendered once per
+    status.  A block's rows share a head, so a run of them with the same
+    tail is one join of their label suffixes; the block's codewords, found
+    from the code's words, cut the runs.  Rows are written 256 at a time, a
+    run cut where a chunk ends, so that no more than a chunk of text is held.
     """
+    from .topology import _block_runs
+
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
@@ -114,28 +119,36 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
     lines.append("mandatory codewords of the code complex:")
     out.write("\n".join(lines) + "\n")
     words = report.code.words
+    runs = _block_runs(report.mandatory_table, words)
     tails: dict[int, tuple[str, str]] = {}  # by id of a status the report holds
-    rows: list[str] = []
-    for h, label, res, block in report.mandatory_table:
+    chunk: list[str] = []
+    room = 256  # rows the chunk can still take; a write per row costs more
+    for h, label, res, suffixes, _ in report.mandatory_table:
         pair = tails.get(id(res))
         if pair is None:
             text = f"}}: {_KIND[res.status.value]} ({res.describe()}), in code: "
             pair = tails[id(res)] = (text + "no\n", text + "yes\n")
-        rows.append(f"  face {{{label}{pair[h in words]}")
-        if len(rows) == 256:  # a write per row costs more
-            out.write("".join(rows))
-            rows.clear()
-        if block:
-            # in pieces that end where chunks end, so that no more than a chunk is held
+        if not room:
+            out.write("".join(chunk))
+            chunk.clear()
+            room = 256
+        chunk.append(f"  face {{{label}{pair[h in words]}")
+        room -= 1
+        if suffixes:
             head = f"  face {{{label},"
             i = 0
-            while i < len(block):
-                j, i = i, i + 256 - len(rows)
-                rows.extend([head + s + pair[h | b in words] for s, b in block[j:i]])
-                if len(rows) == 256:
-                    out.write("".join(rows))
-                    rows.clear()
-    out.write("".join(rows))
+            for end, yes in runs.get(h) or ((len(suffixes), 0),):
+                tail = pair[yes]
+                while i < end:
+                    if not room:
+                        out.write("".join(chunk))
+                        chunk.clear()
+                        room = 256
+                    j = min(end, i + room)
+                    chunk.append(head + (tail + head).join(suffixes[i:j]) + tail)
+                    room -= j - i
+                    i = j
+    out.write("".join(chunk))
     if report.betti is not None:
         rendered = " ".join(str(b) for b in report.betti)
         out.write(f"reduced betti numbers of the code complex: {rendered}\n")
@@ -297,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, TopologyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # raised with no message, by an allocation too large to attempt
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

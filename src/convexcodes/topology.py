@@ -23,9 +23,11 @@ f ∪ {v} with v in every facet above f keeps the facets above f unchanged.
 By the block rule, a row h with cone apex a whose children draw only from
 vertices in every facet above h, a not among them, has below it exactly
 the rows h ∪ S, S a nonempty subset of those vertices, all with apex a; the
-walk gives h with a shared table of label suffixes for that block instead
-of descending into it.  The walk only decides: ``cli.render_analysis``
-writes the rows of ``analyze``'s table.
+walk gives h with that block's table instead of descending into it: two
+parallel tuples, the label suffixes of the subsets and their vertices,
+shared by every block on the same vertices.  The walk only decides:
+``cli.render_analysis`` writes the rows of ``analyze``'s table, a block
+many rows to a join.
 Deleting dominated vertices keeps the homotopy type, so homology is
 computed on the strong core that is left, with boundary-matrix ranks
 reduced in integers.  Collapses find free faces one vertex up: sigma is
@@ -35,6 +37,7 @@ free when it has one coface sigma ∪ {v}.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from enum import Enum
 from math import gcd
 from typing import NamedTuple
@@ -329,14 +332,14 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
 # --- mandatory codewords and local obstructions ---------------------------------
 
 
-# label suffixes such as "3,5" and their vertices: a table of a block's rows
-Labels = tuple[tuple[str, Word], ...]
-# a row the walk reached, its label such as "1,3", its status, and the labels of the block below it
-Entry = tuple[Word, str, ContractibilityResult, Labels]
+# a block's table: the label suffixes of its rows, such as "3,5", and their vertices, in parallel
+Labels = tuple[tuple[str, ...], tuple[Word, ...]]
+# a row the walk reached, its label such as "1,3", its status, and the suffixes and vertices of the block below it
+Entry = tuple[Word, str, ContractibilityResult, tuple[str, ...], tuple[Word, ...]]
 
 
 def _label_table(up: Word, names: list[str], tables: dict[Word, Labels]) -> Labels:
-    """The label suffix and vertices of every nonempty subset of up, in ``word_key`` order.
+    """The label suffixes and vertices of every nonempty subset of up, in ``word_key`` order.
 
     With v the lowest vertex of up, the subsets are {v}, then v with each
     subset of the rest, then the subsets of the rest; so each table is
@@ -346,9 +349,65 @@ def _label_table(up: Word, names: list[str], tables: dict[Word, Labels]) -> Labe
     if table is None:
         v = up & -up
         name = names[v.bit_length()]
-        rest = _label_table(up ^ v, names, tables) if up ^ v else ()
-        table = tables[up] = ((name, v), *[(name + "," + s, v | b) for s, b in rest], *rest)
+        suffixes, masks = _label_table(up ^ v, names, tables) if up ^ v else ((), ())
+        head = name + ","
+        table = tables[up] = (
+            (name, *[head + s for s in suffixes], *suffixes),
+            (v, *[v | b for b in masks], *masks),
+        )
     return table
+
+
+def _block_position(up: Word, s: Word) -> int:
+    """The position of s, a nonempty subset of up, in the label table of up.
+
+    As ``_label_table`` builds it: at each vertex u of up below max(s), in
+    ascending order, s comes after the row {u} if it holds u, and else
+    after {u} and the rows that add to u a nonempty subset of the m
+    vertices of up above u, 2^m rows in all.
+    """
+    pos = 0
+    above = up.bit_count()
+    rest = up & ((1 << (s.bit_length() - 1)) - 1)  # the vertices of up below max(s)
+    while rest:
+        u = rest & -rest
+        rest ^= u
+        above -= 1
+        pos += 1 if u & s else 1 << above
+    return pos
+
+
+def _block_runs(entries: Iterable[Entry], words: Iterable[Word]) -> dict[Word, list[tuple[int, int]]]:
+    """For each block head whose block holds a row in words, that block's rows
+    cut into runs of rows all in words or all not: the end of each run and
+    1 if its rows are in words, else 0.  A run may be empty.
+
+    A block row is h ∪ S with every vertex of S above max(h), so the head
+    of a word's block is one of the word's proper prefixes in ascending
+    member order: one pass over the words finds every block's codewords,
+    and a block that holds none costs nothing per row.
+    """
+    blocks = {h: masks for h, _, _, _, masks in entries if masks}
+    rows: dict[Word, list[int]] = {}
+    for w in words:
+        head = w & -w
+        rest = w ^ head
+        while rest:
+            if head in blocks:
+                masks = blocks[head]
+                # a table of 2^k - 1 rows begins with the k prefixes of up, so its row k - 1 is up
+                up = masks[len(masks).bit_length() - 1]
+                rows.setdefault(head, []).append(_block_position(up, rest))
+                break
+            v = rest & -rest
+            head |= v
+            rest ^= v
+    runs: dict[Word, list[tuple[int, int]]] = {}
+    for head, positions in rows.items():
+        positions.sort()
+        ends = runs[head] = [end for r in positions for end in ((r, 0), (r + 1, 1))]
+        ends.append((len(blocks[head]), 0))
+    return runs
 
 
 def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
@@ -367,8 +426,9 @@ def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
     children draw from (``up``) lies in every facet above h, and ``low`` is
     not in ``up``, then every row below h is h ∪ S for a nonempty S ⊆ up,
     with the same facets above it and the same cone certificate.  The entry
-    of h then carries the label table of ``up`` instead of being walked
-    below (else an empty table).  The walk only decides and writes no text.
+    of h then carries the label table of ``up``, its suffixes and vertices,
+    instead of being walked below (else two empty tuples).  The walk only
+    decides and writes no text.
     """
     entries: list[Entry] = []
     cones: dict[Word, ContractibilityResult] = {}  # by apex bit
@@ -391,7 +451,7 @@ def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
                     up |= g
                 up &= -(v << 1)
             apexes = c & ~h
-            block: Labels = ()
+            suffixes, masks = (), ()
             if apexes:
                 low = apexes & -apexes
                 res = cones.get(low)
@@ -400,12 +460,12 @@ def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
                         Contractibility.CONTRACTIBLE, cone_apex=low.bit_length()
                     )
                 if up and not up & ~c and not up & low:
-                    block = _label_table(up, names, tables)
+                    suffixes, masks = _label_table(up, names, tables)
             else:
                 res = contractibility(link(cpx, h))
             label = head + names[v.bit_length()]
-            entries.append((h, label, res, block))
-            if up and not block:
+            entries.append((h, label, res, suffixes, masks))
+            if up and not masks:
                 walk(h, label + ",", sub, c, up)
 
     facets = list(cpx.facets)
@@ -433,12 +493,13 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     facet it filters nothing.  By the block rule, a row h with cone apex a
     whose children draw only from vertices up in every facet above h, a not
     among them, has below it exactly the rows h ∪ S, S ⊆ up nonempty, all
-    with apex a: the walk gives h with that block, and it is expanded here.
+    with apex a: the walk gives h with that block's vertices, and they are
+    expanded here.
     """
     table: dict[Word, ContractibilityResult] = {}
-    for h, _, res, block in _mandatory_rows(cpx):
+    for h, _, res, _, masks in _mandatory_rows(cpx):
         table[h] = res
-        for _, b in block:
+        for b in masks:
             table[h | b] = res
     return table
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from convexcodes import code_of_arrangement
@@ -32,3 +34,31 @@ RP2_FACETS = (
 @pytest.fixture(scope="session")
 def rp2_facets():
     return RP2_FACETS
+
+
+def line_events(func, *args):
+    """Call func(*args) and count the line events of ``sys.settrace`` in its
+    frame and in every frame it runs, its comprehensions and the functions
+    it calls; a loop gives one event per pass.  Returns the result and the count."""
+    code = func.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def enter(frame, event, arg):
+        # a comprehension's frame, or a callee's, has func's frame below it
+        while frame is not None and frame.f_code is not code:
+            frame = frame.f_back
+        return None if frame is None else local
+
+    old = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = func(*args)
+    finally:
+        sys.settrace(old)
+    return result, count

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import RP2_FACETS
+from conftest import RP2_FACETS, line_events
 from convexcodes import cli, generators
 from convexcodes.cli import build_analysis, main
 from convexcodes.codes import (
@@ -205,6 +205,19 @@ def test_code_of_rejects_dimension_past_an_index(tmp_path, capsys):
     status, out, err = run(capsys, "code-of", str(bad))
     assert status == 1 and not out
     assert err.startswith("error: line 1: dimension 99999999999999999999 exceeds")
+
+
+@pytest.mark.parametrize("command", ["code-of", "verify"])
+def test_out_of_memory_is_an_error_line(tmp_path, capsys, command):
+    # sys.maxsize passes the index check, and the origin's coordinate list
+    # fails its size check before anything is allocated
+    arr = tmp_path / "big.arr"
+    arr.write_text(f"dimension: {sys.maxsize}\ntopology: closed\nset 1\n")
+    code = tmp_path / "c.code"
+    code.write_text("neurons: 1\n1\n")
+    argv = [command, str(arr)] + ([str(code)] if command == "verify" else [])
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_verify_ok_and_mismatch(capsys):
@@ -507,8 +520,25 @@ def small_codes(draw):
     return NeuralCode(n, draw(st.frozensets(st.integers(0, full_word(n)), max_size=12)))
 
 
+@st.composite
+def large_facet_codes(draw):
+    # the facet {1..m} puts most rows in blocks, a few edges may leave it,
+    # and its subwords are codewords inside those blocks
+    m = draw(st.integers(8, 13))
+    n = m + 3
+    edges = draw(st.lists(st.sets(st.integers(1, n), min_size=2, max_size=2), max_size=3))
+    subwords = draw(st.lists(st.integers(1, full_word(m)), max_size=6))
+    return NeuralCode(n, frozenset({full_word(m), *map(word, edges), *subwords}))
+
+
+# a facet of 12 vertices and an edge that leaves it: the rows below {2} are
+# a block of 1,023 rows with apex 1, those below {3} one of 511 rows, and
+# those below {1,3} one of 511 rows with apex 2
+FACET_12 = (full_word(12), word([1, 13]))
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(small_codes())
+@given(st.one_of(small_codes(), large_facet_codes()))
 @example(NeuralCode(3, frozenset()))
 @example(NeuralCode(3, frozenset({0})))
 @example(NeuralCode(2, frozenset({word([1]), word([2])})))
@@ -521,6 +551,14 @@ def small_codes(draw):
 @example(NeuralCode(13, frozenset({full_word(12), word([1, 13])})))
 # locally good: unknown, and the undetermined row {7}
 @example(RP2_CONE_CODE)
+# codewords as the first and the last row of a block, and a block head
+@example(NeuralCode(13, frozenset({*FACET_12, word([2, 3]), word([2, 12]), word([2])})))
+# codewords at rows 255 and 256 of the block below {2}, where a slice of 256 rows ends
+@example(NeuralCode(13, frozenset({*FACET_12, word([2, 3, 4, 11, 12]), word([2, 3, 4, 12])})))
+# several codewords in the block of 511 rows below {3}, two of them adjacent
+@example(NeuralCode(13, frozenset({*FACET_12, word([3, 4]), word([3, 4, 5]), word([3, 7, 9]), word([3, 11, 12])})))
+# {1,3,5} lies in the block of {1,3}; its subword {3} heads a block that holds {3,5}, not it
+@example(NeuralCode(13, frozenset({*FACET_12, word([1, 3, 5]), word([1, 3])})))
 def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
     path = tmp_path / "c.code"
     path.write_text(serialize_code(code), encoding="utf-8")
@@ -619,6 +657,20 @@ def test_analysis_report_holds_about_its_text():
     assert sink.size == 1_352_229
     assert peak < 2 * sink.size, (peak, sink.size)
     assert held < 1.1 * sink.size, (held, sink.size)
+
+
+def test_rendering_a_large_facet_takes_steps_per_entry_not_per_row():
+    # {1..16},{1,17}: 65,537 rows in 138 entries, most of them in blocks,
+    # whose runs of rows are one join each; a Python step per block row
+    # would give some 65,000 line events
+    code = NeuralCode(17, frozenset({full_word(16), word([1, 17])}))
+    report = build_analysis(code)
+    sink = ByteCount()
+    _, events = line_events(cli.render_analysis, report, sink)
+    rows = 2**16 + 1
+    assert sink.size == 5_603_914
+    entries = len(report.mandatory_table)
+    assert events < 20 * entries + 50 * len(code.words) + 20 * (rows // 256) + 200, events
 
 
 @pytest.mark.parametrize("case", ["unparsable", "missing", "build-fails"])

@@ -121,8 +121,8 @@ RECORDS = [
         "betti",
         "AnalysisReport(code=NeuralCode(n=2, {{1} {2}}), maximal=(1, 2), "
         "max_intersection_complete=False, incompleteness_witness=((1, 2), 0), "
-        f"mandatory_table=((1, '1', {_EMPTY}, ()), (2, '2', {_EMPTY}, ())), locally_good=True, "
-        "locally_good_checked=(), betti=None)",
+        f"mandatory_table=((1, '1', {_EMPTY}, (), ()), (2, '2', {_EMPTY}, (), ())), "
+        "locally_good=True, locally_good_checked=(), betti=None)",
     ),
     (Realization, _realization, "stem", _REALIZATION),
     (

@@ -655,24 +655,56 @@ def test_walk_matches_reference_walk(code):
     assert list(table) == list(expected)
     assert table == expected
     entries = topology._mandatory_rows(cpx)
-    # each entry is a row, its label and the block of rows below it, all with its status
-    rows = [(h | b, res) for h, _, res, block in entries for b in (0, *(b for _, b in block))]
+    # each entry is a row, its label and the block of rows below it, its
+    # suffixes and vertices in parallel, all with its status
+    assert all(len(suffixes) == len(masks) for _, _, _, suffixes, masks in entries)
+    rows = [(h | b, res) for h, _, res, _, masks in entries for b in (0, *masks)]
     assert rows == list(table.items())
     statuses = [res for _, res in rows]
     labels = [
-        label + s for h, label, _, block in entries
-        for s in ("", *("," + s for s, _ in block))
+        label + s for h, label, _, suffixes, _ in entries
+        for s in ("", *("," + s for s in suffixes))
     ]
     assert labels == [word_label(f)[1:-1] for f in table]
     # the missing intersections are the rows with no cone apex not in the code
     assert [
-        f for f, _, res, _ in entries if res.cone_apex is None and f not in code.words
+        f for f, _, res, _, _ in entries if res.cone_apex is None and f not in code.words
     ] == missing_intersections(code)
     for certificates in (table.values(), statuses):
         by_apex = {}
         for res in certificates:
             if res.cone_apex is not None:
                 assert by_apex.setdefault(res.cone_apex, res) is res
+
+
+@given(st.integers(1, 2**10 - 1))
+def test_block_position_is_the_row_of_a_subset(up):
+    _, masks = topology._label_table(up, [str(i) for i in range(11)], {})
+    assert [topology._block_position(up, b) for b in masks] == list(range(len(masks)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes(max_n=9, max_words=10))
+# {2,4} and {3,5,7} in the blocks below {2} and {3}; the prefix {1} of {1,9} heads no block
+@example(NeuralCode(9, frozenset({full_word(8), word([2, 4]), word([3, 5, 7]), word([1, 9])})))
+# {1,3,5} in the block of {1,3}, not in that of its subword {3}
+@example(NeuralCode(13, frozenset({full_word(12), word([1, 13]), word([1, 3, 5]), word([3])})))
+def test_block_runs_cut_blocks_at_their_codewords(code):
+    entries = topology._mandatory_rows(simplicial_complex(code))
+    expected = {}
+    for h, _, _, _, masks in entries:
+        tails = [int(h | b in code.words) for b in masks]
+        if any(tails):
+            expected[h] = tails
+    runs = topology._block_runs(entries, code.words)
+    assert runs.keys() == expected.keys()
+    for h, ends in runs.items():
+        tails, i = [], 0
+        for end, yes in ends:
+            assert i <= end
+            tails += [yes] * (end - i)
+            i = end
+        assert tails == expected[h]
 
 
 @pytest.mark.parametrize("family", [gen_an, gen_cn])
