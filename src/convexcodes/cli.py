@@ -3,7 +3,9 @@
 Exit-code contract: 0 for operational success (verdicts are report content,
 never exit codes), 1 for operational errors such as parse failures, 2 for a
 verification mismatch.  All output is deterministic for fixed inputs; ``analyze``
-builds its report before it writes a byte, then streams it (``render_analysis``).
+builds its report before it writes a byte, then writes its rows straight to the
+output (``render_analysis``), a run of block rows in slices of at most 256 rows,
+cut at its codeword rows.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .codes import (
+    MaxIntersectionCheck,
     NeuralCode,
     Word,
     _max_intersection_check,
@@ -34,20 +37,20 @@ from .generators import FAMILIES, corpus, family_entry
 from .geometry import TopologyError, code_of_arrangement
 
 if TYPE_CHECKING:
-    from .topology import ContractibilityResult, Entry
+    from .topology import Entry, LocalObstructionReport
 
 
 class AnalysisReport(NamedTuple):
     """Everything cmd_analyze prints, recomputable from the code alone: the
-    mandatory-codeword table as the walk's entries, which render_analysis writes."""
+    records of the max-intersection and locally-good tests as the pipeline
+    makes them, and the mandatory-codeword table as the walk's entries,
+    which render_analysis writes."""
 
     code: NeuralCode
     maximal: tuple[Word, ...]
-    max_intersection_complete: bool
-    incompleteness_witness: tuple[tuple[Word, ...], Word] | None
+    max_intersection: MaxIntersectionCheck
     mandatory_table: tuple[Entry, ...]
-    locally_good: bool | None
-    locally_good_checked: tuple[tuple[Word, ContractibilityResult], ...]
+    local: LocalObstructionReport
     betti: tuple[int, ...] | None
 
 
@@ -58,26 +61,19 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     cpx = simplicial_complex(code)
     # the maximal codewords are the complex's facets, found once for both questions
     maximal = cpx.sorted_facets()
-    mic = _max_intersection_check(maximal, code.words)
-    witness = None
-    if not mic.complete:
-        witness = (mic.witness_sets, mic.witness_value)
     table = _mandatory_rows(cpx)
     # the missing intersections are the faces not in the code that are
     # intersections of facets: the rows with no cone apex, which built a link
-    lg = LocalObstructionReport(tuple(
+    local = LocalObstructionReport(tuple(
         (f, res) for f, _, res, _, _ in table if res.cone_apex is None and f not in code.words
     ))
-    betti = reduced_homology(cpx) if include_homology else None
     return AnalysisReport(
         code=code,
         maximal=tuple(maximal),
-        max_intersection_complete=mic.complete,
-        incompleteness_witness=witness,
+        max_intersection=_max_intersection_check(maximal, code.words),
         mandatory_table=tuple(table),
-        locally_good=lg.verdict,
-        locally_good_checked=lg.checked,
-        betti=betti,
+        local=local,
+        betti=reduced_homology(cpx) if include_homology else None,
     )
 
 
@@ -90,65 +86,55 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
 
     The one writer of the table's rows: each is "  face {", its label and
     one of its status's two tails (in code: no or yes), rendered once per
-    status.  A block's rows share a head, so a run of them with the same
-    tail is one join of their label suffixes; the block's codewords, found
-    from the code's words, cut the runs.  Rows are written 256 at a time, a
-    run cut where a chunk ends, so that no more than a chunk of text is held.
+    status.  Rows go straight to ``out``: a plain row in one write, a
+    block's rows, which share a head, as joins of their label suffixes in
+    slices of at most 256 rows, cut at the block's codeword rows, found
+    from the code's words; so no more than a slice of text is held.
     """
-    from .topology import _block_runs
+    from .topology import _block_rows
 
+    mic = report.max_intersection
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
     ]
-    if report.max_intersection_complete:
+    if mic.complete:
         lines.append("max-intersection complete: true")
     else:
-        sets, value = report.incompleteness_witness
-        inter = " & ".join(word_label(w) for w in sets)
+        inter = " & ".join(word_label(w) for w in mic.witness_sets)
         lines.append(
-            f"max-intersection complete: false (witness: {inter} = {word_label(value)} not in code)"
+            f"max-intersection complete: false (witness: {inter} = "
+            f"{word_label(mic.witness_value)} not in code)"
         )
-    verdict = {True: "true", False: "false", None: "unknown"}[report.locally_good]
+    verdict = {True: "true", False: "false", None: "unknown"}[report.local.verdict]
     lines.append(f"locally good: {verdict}")
-    if report.locally_good_checked:
-        for f, res in report.locally_good_checked:
+    if report.local.checked:
+        for f, res in report.local.checked:
             lines.append(f"  checked face {word_label(f)}: {res.describe()}")
     else:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")
     lines.append("mandatory codewords of the code complex:")
     out.write("\n".join(lines) + "\n")
     words = report.code.words
-    runs = _block_runs(report.mandatory_table, words)
+    cuts = _block_rows(report.mandatory_table, words)
     tails: dict[int, tuple[str, str]] = {}  # by id of a status the report holds
-    chunk: list[str] = []
-    room = 256  # rows the chunk can still take; a write per row costs more
     for h, label, res, suffixes, _ in report.mandatory_table:
         pair = tails.get(id(res))
         if pair is None:
             text = f"}}: {_KIND[res.status.value]} ({res.describe()}), in code: "
             pair = tails[id(res)] = (text + "no\n", text + "yes\n")
-        if not room:
-            out.write("".join(chunk))
-            chunk.clear()
-            room = 256
-        chunk.append(f"  face {{{label}{pair[h in words]}")
-        room -= 1
+        out.write(f"  face {{{label}{pair[h in words]}")
         if suffixes:
             head = f"  face {{{label},"
+            no, yes = pair
             i = 0
-            for end, yes in runs.get(h) or ((len(suffixes), 0),):
-                tail = pair[yes]
-                while i < end:
-                    if not room:
-                        out.write("".join(chunk))
-                        chunk.clear()
-                        room = 256
-                    j = min(end, i + room)
-                    chunk.append(head + (tail + head).join(suffixes[i:j]) + tail)
-                    room -= j - i
-                    i = j
-    out.write("".join(chunk))
+            # the rows before each codeword row, and after the last, in slices
+            for r in (*cuts.get(h, ()), len(suffixes)):
+                for k in range(i, r, 256):
+                    out.write(head + (no + head).join(suffixes[k:min(r, k + 256)]) + no)
+                if r < len(suffixes):
+                    out.write(head + suffixes[r] + yes)
+                i = r + 1
     if report.betti is not None:
         rendered = " ".join(str(b) for b in report.betti)
         out.write(f"reduced betti numbers of the code complex: {rendered}\n")

@@ -219,18 +219,14 @@ class MaxIntersectionCheck(NamedTuple):
         return self.complete
 
 
-def max_intersections(code: NeuralCode) -> Iterator[tuple[Word, tuple[Word, ...]]]:
-    """Each distinct intersection of >= 2 maximal codewords, with its sets.
+def _intersections(maxima: list[Word]) -> Iterator[tuple[Word, tuple[Word, ...]]]:
+    """Each distinct intersection of >= 2 maximal codewords, with its sets;
+    maxima holds the maximal codewords in ``word_key`` order.
 
     Intersections are explored breadth-first (all pairs first, then deeper
     meets), so each value comes once, with as few maximal codewords as give
     it, in a deterministic order.
     """
-    yield from _intersections(sorted(maximal_codewords(code), key=word_key))
-
-
-def _intersections(maxima: list[Word]) -> Iterator[tuple[Word, tuple[Word, ...]]]:
-    """``max_intersections`` of the maximal codewords in ``word_key`` order."""
     seen: dict[Word, tuple[Word, ...]] = {}
     frontier: list[Word] = []
     for a_idx in range(len(maxima)):
@@ -275,9 +271,9 @@ def _max_intersection_check(maxima: list[Word], words: frozenset[Word]) -> MaxIn
 
 def missing_intersections(code: NeuralCode) -> list[Word]:
     """Nonempty intersections of >= 2 maximal codewords that are not codewords."""
+    maxima = sorted(maximal_codewords(code), key=word_key)
     return sorted(
-        (v for v, _ in max_intersections(code) if v and v not in code.words),
-        key=word_key,
+        (v for v, _ in _intersections(maxima) if v and v not in code.words), key=word_key
     )
 
 

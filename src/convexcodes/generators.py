@@ -113,8 +113,7 @@ def realization_an_r2(n: int) -> Arrangement:
     line y = -4; one transversal segment at y = -2 crosses them all away
     from the apex.  Each segment is shared by neuron i and its duplicate.
     """
-    if not 2 <= n <= 8:
-        raise ValueError("the planar segment realization supports 2 <= n <= 8")
+    _check_family_size(n)
     endpoints = [Q(-9) + Q(18) * (k - 1) / (n - 1) for k in range(1, n + 1)]
     segments = []
     for e in endpoints:

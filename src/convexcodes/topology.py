@@ -26,8 +26,9 @@ the rows h ∪ S, S a nonempty subset of those vertices, all with apex a; the
 walk gives h with that block's table instead of descending into it: two
 parallel tuples, the label suffixes of the subsets and their vertices,
 shared by every block on the same vertices.  The walk only decides:
-``cli.render_analysis`` writes the rows of ``analyze``'s table, a block
-many rows to a join.
+``cli.render_analysis`` writes the rows of ``analyze``'s table straight to
+the output, a block in joins of at most 256 rows, cut at the positions of
+its codeword rows (``_block_rows``).
 Deleting dominated vertices keeps the homotopy type, so homology is
 computed on the strong core that is left, with boundary-matrix ranks
 reduced in integers.  Collapses find free faces one vertex up: sigma is
@@ -377,10 +378,10 @@ def _block_position(up: Word, s: Word) -> int:
     return pos
 
 
-def _block_runs(entries: Iterable[Entry], words: Iterable[Word]) -> dict[Word, list[tuple[int, int]]]:
-    """For each block head whose block holds a row in words, that block's rows
-    cut into runs of rows all in words or all not: the end of each run and
-    1 if its rows are in words, else 0.  A run may be empty.
+def _block_rows(entries: Iterable[Entry], words: Iterable[Word]) -> dict[Word, list[int]]:
+    """For each block head whose block holds a row in words, the ascending
+    positions of those rows in the block's table: where ``render_analysis``
+    cuts the block's slices of rows, each codeword row written alone.
 
     A block row is h ∪ S with every vertex of S above max(h), so the head
     of a word's block is one of the word's proper prefixes in ascending
@@ -402,12 +403,9 @@ def _block_runs(entries: Iterable[Entry], words: Iterable[Word]) -> dict[Word, l
             v = rest & -rest
             head |= v
             rest ^= v
-    runs: dict[Word, list[tuple[int, int]]] = {}
-    for head, positions in rows.items():
+    for positions in rows.values():
         positions.sort()
-        ends = runs[head] = [end for r in positions for end in ((r, 0), (r + 1, 1))]
-        ends.append((len(blocks[head]), 0))
-    return runs
+    return rows
 
 
 def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:

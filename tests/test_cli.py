@@ -476,23 +476,23 @@ def render_analysis_by_lines(report):
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
         "maximal codewords: " + " ".join(word_label(w) for w in report.maximal),
     ]
-    if report.max_intersection_complete:
+    if report.max_intersection.complete:
         lines.append("max-intersection complete: true")
     else:
-        sets, value = report.incompleteness_witness
+        _, sets, value = report.max_intersection
         inter = " & ".join(word_label(w) for w in sets)
         lines.append(
             f"max-intersection complete: false (witness: {inter} = {word_label(value)} not in code)"
         )
-    if report.locally_good is True:
+    if report.local.verdict is True:
         verdict = "true"
-    elif report.locally_good is False:
+    elif report.local.verdict is False:
         verdict = "false"
     else:
         verdict = "unknown"
     lines.append(f"locally good: {verdict}")
-    if report.locally_good_checked:
-        for f, res in report.locally_good_checked:
+    if report.local.checked:
+        for f, res in report.local.checked:
             lines.append(f"  checked face {word_label(f)}: {res.describe()}")
     else:
         lines.append("  checked faces: none (all intersections of maximal codewords present)")

@@ -107,21 +107,24 @@ def test_an_realization_landmarks():
         apex = (Q(0), Q(4))
         full = word(list(range(1, n + 1)) + [barred(i, n) for i in range(1, n + 1)])
         assert membership_pattern(arr, apex) == full
-    with pytest.raises(ValueError):
-        realization_an_r2(9)
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        realization_an_r2(1)
+    with pytest.raises(ValueError, match="exceeds the 64-neuron cap"):
+        realization_an_r2(32)
 
 
 @pytest.mark.parametrize(
     "realization, family, n",
     [(realization_cn_rn, gen_cn, n) for n in range(5, 10)]
-    + [(realization_an_r2, gen_an, n) for n in range(6, 9)]
-    + [(realization_sn_r2, gen_sn, n) for n in range(6, 9)],
+    + [(realization_an_r2, gen_an, n) for n in range(6, 10)]
+    + [(realization_sn_r2, gen_sn, n) for n in (*range(6, 10), 19)],
     ids=[f"cn_rn_{n}" for n in range(5, 10)]
-    + [f"an_r2_{n}" for n in range(6, 9)]
-    + [f"sn_r2_{n}" for n in range(6, 9)],
+    + [f"an_r2_{n}" for n in range(6, 10)]
+    + [f"sn_r2_{n}" for n in (*range(6, 10), 19)],
 )
 def test_family_realizations_past_the_corpus(realization, family, n):
-    # cn_rn_9 has 19 sets, the largest the 20-set extraction cap allows
+    # cn_rn_9 and an_r2_9 have 19 sets, sn_r2_19 has 20: the largest the
+    # 20-set extraction cap allows
     assert code_of_arrangement(realization(n)) == family(n)
 
 

@@ -120,9 +120,10 @@ RECORDS = [
         lambda: build_analysis(neural_code(2, [[1], [2]])),
         "betti",
         "AnalysisReport(code=NeuralCode(n=2, {{1} {2}}), maximal=(1, 2), "
-        "max_intersection_complete=False, incompleteness_witness=((1, 2), 0), "
+        "max_intersection=MaxIntersectionCheck(complete=False, witness_sets=(1, 2), "
+        "witness_value=0), "
         f"mandatory_table=((1, '1', {_EMPTY}, (), ()), (2, '2', {_EMPTY}, (), ())), "
-        "locally_good=True, locally_good_checked=(), betti=None)",
+        "local=LocalObstructionReport(checked=()), betti=None)",
     ),
     (Realization, _realization, "stem", _REALIZATION),
     (

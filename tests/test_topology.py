@@ -20,6 +20,7 @@ from convexcodes import (
     contractibility,
     full_word,
     is_locally_good,
+    is_max_intersection_complete,
     link,
     mandatory_codewords,
     members,
@@ -689,22 +690,14 @@ def test_block_position_is_the_row_of_a_subset(up):
 @example(NeuralCode(9, frozenset({full_word(8), word([2, 4]), word([3, 5, 7]), word([1, 9])})))
 # {1,3,5} in the block of {1,3}, not in that of its subword {3}
 @example(NeuralCode(13, frozenset({full_word(12), word([1, 13]), word([1, 3, 5]), word([3])})))
-def test_block_runs_cut_blocks_at_their_codewords(code):
+def test_block_rows_cut_blocks_at_their_codewords(code):
     entries = topology._mandatory_rows(simplicial_complex(code))
     expected = {}
     for h, _, _, _, masks in entries:
-        tails = [int(h | b in code.words) for b in masks]
-        if any(tails):
-            expected[h] = tails
-    runs = topology._block_runs(entries, code.words)
-    assert runs.keys() == expected.keys()
-    for h, ends in runs.items():
-        tails, i = [], 0
-        for end, yes in ends:
-            assert i <= end
-            tails += [yes] * (end - i)
-            i = end
-        assert tails == expected[h]
+        positions = [i for i, b in enumerate(masks) if h | b in code.words]
+        if positions:
+            expected[h] = positions
+    assert topology._block_rows(entries, code.words) == expected
 
 
 @pytest.mark.parametrize("family", [gen_an, gen_cn])
@@ -759,8 +752,9 @@ def test_locally_good_cross_check_on_corpus(corpus_entries):
 def test_analysis_locally_good_matches_is_locally_good(code):
     report = build_analysis(code)
     expected = is_locally_good(code)
-    assert report.locally_good == expected.verdict
-    assert report.locally_good_checked == expected.checked
+    assert report.local.verdict == expected.verdict
+    assert report.local.checked == expected.checked
+    assert report.max_intersection == is_max_intersection_complete(code)
     # the obstruction is the first mandatory codeword the code lacks
     missing_mandatory = [
         f for f, res in mandatory_codewords(simplicial_complex(code)).items()
@@ -779,6 +773,6 @@ def test_analysis_builds_each_link_once(monkeypatch):
 
     monkeypatch.setattr(topology, "link", counted)
     report = build_analysis(neither8_code(), include_homology=True)
-    assert report.locally_good is True
+    assert report.local.verdict is True
     assert {word([1]), word([3]), word([7])} <= set(built)
     assert max(built.values()) == 1
