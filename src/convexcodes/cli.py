@@ -4,8 +4,7 @@ Exit-code contract: 0 for operational success (verdicts are report content,
 never exit codes), 1 for operational errors such as parse failures, 2 for a
 verification mismatch.  All output is deterministic for fixed inputs; ``analyze``
 builds its report before it writes a byte, then writes its rows straight to the
-output (``render_analysis``), a run of block rows in slices of at most 256 rows,
-cut at its codeword rows.
+output (``render_analysis``), a block's rows in joins of at most 256 rows.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ if TYPE_CHECKING:
 class AnalysisReport(NamedTuple):
     """Everything cmd_analyze prints, recomputable from the code alone: the
     records of the max-intersection and locally-good tests as the pipeline
-    makes them, and the mandatory-codeword table as the walk's entries,
-    which render_analysis writes."""
+    makes them, and the mandatory-codeword table as the walk's entries, none
+    of whose blocks holds a codeword, which render_analysis writes."""
 
     code: NeuralCode
     maximal: tuple[Word, ...]
@@ -61,7 +60,7 @@ def build_analysis(code: NeuralCode, include_homology: bool = False) -> Analysis
     cpx = simplicial_complex(code)
     # the maximal codewords are the complex's facets, found once for both questions
     maximal = cpx.sorted_facets()
-    table = _mandatory_rows(cpx)
+    table = _mandatory_rows(cpx, code.words)
     # the missing intersections are the faces not in the code that are
     # intersections of facets: the rows with no cone apex, which built a link
     local = LocalObstructionReport(tuple(
@@ -86,13 +85,11 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
 
     The one writer of the table's rows: each is "  face {", its label and
     one of its status's two tails (in code: no or yes), rendered once per
-    status.  Rows go straight to ``out``: a plain row in one write, a
-    block's rows, which share a head, as joins of their label suffixes in
-    slices of at most 256 rows, cut at the block's codeword rows, found
-    from the code's words; so no more than a slice of text is held.
+    status.  Rows go straight to ``out``: an entry's row in one write, the
+    rows of its block, which share a head and hold no codeword, as joins of
+    their label suffixes in slices of at most 256 rows; so no more than a
+    slice of text is held.
     """
-    from .topology import _block_rows
-
     mic = report.max_intersection
     lines = [
         f"code: {report.code.n} neurons, {len(report.code.words)} codewords",
@@ -116,7 +113,6 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
     lines.append("mandatory codewords of the code complex:")
     out.write("\n".join(lines) + "\n")
     words = report.code.words
-    cuts = _block_rows(report.mandatory_table, words)
     tails: dict[int, tuple[str, str]] = {}  # by id of a status the report holds
     for h, label, res, suffixes, _ in report.mandatory_table:
         pair = tails.get(id(res))
@@ -126,15 +122,9 @@ def render_analysis(report: AnalysisReport, out: TextIO) -> None:
         out.write(f"  face {{{label}{pair[h in words]}")
         if suffixes:
             head = f"  face {{{label},"
-            no, yes = pair
-            i = 0
-            # the rows before each codeword row, and after the last, in slices
-            for r in (*cuts.get(h, ()), len(suffixes)):
-                for k in range(i, r, 256):
-                    out.write(head + (no + head).join(suffixes[k:min(r, k + 256)]) + no)
-                if r < len(suffixes):
-                    out.write(head + suffixes[r] + yes)
-                i = r + 1
+            no = pair[0]
+            for k in range(0, len(suffixes), 256):
+                out.write(head + (no + head).join(suffixes[k:k + 256]) + no)
     if report.betti is not None:
         rendered = " ".join(str(b) for b in report.betti)
         out.write(f"reduced betti numbers of the code complex: {rendered}\n")

@@ -182,10 +182,13 @@ class SimplicialComplex(_Frozen):
 
 
 def _inclusion_maximal(ws: Iterable[Word]) -> frozenset[Word]:
-    pool = set(ws)
-    return frozenset(
-        w for w in pool if not any(w != v and w & v == w for v in pool)
-    )
+    # a word lies only in larger words: taken largest first, each distinct word
+    # is maximal unless a maximal one already taken holds it
+    kept: list[Word] = []
+    for w in sorted(set(ws), key=int.bit_count, reverse=True):
+        if not any(w & m == w for m in kept):
+            kept.append(w)
+    return frozenset(kept)
 
 
 def complex_from_faces(n: int, faces: Iterable[Word]) -> SimplicialComplex:

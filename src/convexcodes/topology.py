@@ -25,10 +25,11 @@ vertices in every facet above h, a not among them, has below it exactly
 the rows h ∪ S, S a nonempty subset of those vertices, all with apex a; the
 walk gives h with that block's table instead of descending into it: two
 parallel tuples, the label suffixes of the subsets and their vertices,
-shared by every block on the same vertices.  The walk only decides:
-``cli.render_analysis`` writes the rows of ``analyze``'s table straight to
-the output, a block in joins of at most 256 rows, cut at the positions of
-its codeword rows (``_block_rows``).
+shared by every block on the same vertices.  Given the code's words, a
+row heads a block only when it is no proper prefix of a word, so no block
+holds a codeword.  The walk only decides: ``cli.render_analysis`` writes
+the rows of ``analyze``'s table straight to the output, a block in joins
+of at most 256 rows.
 Deleting dominated vertices keeps the homotopy type, so homology is
 computed on the strong core that is left, with boundary-matrix ranks
 reduced in integers.  Collapses find free faces one vertex up: sigma is
@@ -359,56 +360,7 @@ def _label_table(up: Word, names: list[str], tables: dict[Word, Labels]) -> Labe
     return table
 
 
-def _block_position(up: Word, s: Word) -> int:
-    """The position of s, a nonempty subset of up, in the label table of up.
-
-    As ``_label_table`` builds it: at each vertex u of up below max(s), in
-    ascending order, s comes after the row {u} if it holds u, and else
-    after {u} and the rows that add to u a nonempty subset of the m
-    vertices of up above u, 2^m rows in all.
-    """
-    pos = 0
-    above = up.bit_count()
-    rest = up & ((1 << (s.bit_length() - 1)) - 1)  # the vertices of up below max(s)
-    while rest:
-        u = rest & -rest
-        rest ^= u
-        above -= 1
-        pos += 1 if u & s else 1 << above
-    return pos
-
-
-def _block_rows(entries: Iterable[Entry], words: Iterable[Word]) -> dict[Word, list[int]]:
-    """For each block head whose block holds a row in words, the ascending
-    positions of those rows in the block's table: where ``render_analysis``
-    cuts the block's slices of rows, each codeword row written alone.
-
-    A block row is h ∪ S with every vertex of S above max(h), so the head
-    of a word's block is one of the word's proper prefixes in ascending
-    member order: one pass over the words finds every block's codewords,
-    and a block that holds none costs nothing per row.
-    """
-    blocks = {h: masks for h, _, _, _, masks in entries if masks}
-    rows: dict[Word, list[int]] = {}
-    for w in words:
-        head = w & -w
-        rest = w ^ head
-        while rest:
-            if head in blocks:
-                masks = blocks[head]
-                # a table of 2^k - 1 rows begins with the k prefixes of up, so its row k - 1 is up
-                up = masks[len(masks).bit_length() - 1]
-                rows.setdefault(head, []).append(_block_position(up, rest))
-                break
-            v = rest & -rest
-            head |= v
-            rest ^= v
-    for positions in rows.values():
-        positions.sort()
-    return rows
-
-
-def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
+def _mandatory_rows(cpx: SimplicialComplex, words: Iterable[Word] = ()) -> list[Entry]:
     """The mandatory-codeword table of every nonempty face in ``word_key`` order,
     as entries: each row the walk reaches, its label, status and block.
 
@@ -425,9 +377,19 @@ def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
     not in ``up``, then every row below h is h ∪ S for a nonempty S ⊆ up,
     with the same facets above it and the same cone certificate.  The entry
     of h then carries the label table of ``up``, its suffixes and vertices,
-    instead of being walked below (else two empty tuples).  The walk only
-    decides and writes no text.
+    instead of being walked below (else two empty tuples).  Every row below
+    h adds to h vertices above max(h), so a codeword in words lies in the
+    block only if h is one of its proper prefixes in ascending member
+    order; such an h is walked below instead, and no block holds a word.
+    The walk only decides and writes no text.
     """
+    heads: set[Word] = set()  # the proper prefixes of the words
+    for w in words:
+        while w & (w - 1):  # w has two members or more
+            w ^= 1 << (w.bit_length() - 1)
+            if w in heads:  # and so are its own prefixes
+                break
+            heads.add(w)
     entries: list[Entry] = []
     cones: dict[Word, ContractibilityResult] = {}  # by apex bit
     tables: dict[Word, Labels] = {}
@@ -457,7 +419,7 @@ def _mandatory_rows(cpx: SimplicialComplex) -> list[Entry]:
                     res = cones[low] = ContractibilityResult(
                         Contractibility.CONTRACTIBLE, cone_apex=low.bit_length()
                     )
-                if up and not up & ~c and not up & low:
+                if up and not up & ~c and not up & low and h not in heads:
                     suffixes, masks = _label_table(up, names, tables)
             else:
                 res = contractibility(link(cpx, h))
@@ -484,15 +446,11 @@ def mandatory_codewords(cpx: SimplicialComplex) -> dict[Word, ContractibilityRes
     facets build their link (Curto et al., *What makes a neural code
     convex?*, 2017); the others share one cone certificate per apex.
 
-    The rows come from the walk that decides ``analyze``'s table: one walk
-    in ``word_key`` order that builds no face set, sorts nothing and writes
-    no text.  Adding a vertex that lies in every facet above a face keeps
-    those facets, so the walk hands them down unchanged; above a single
-    facet it filters nothing.  By the block rule, a row h with cone apex a
-    whose children draw only from vertices up in every facet above h, a not
-    among them, has below it exactly the rows h ∪ S, S ⊆ up nonempty, all
-    with apex a: the walk gives h with that block's vertices, and they are
-    expanded here.
+    The rows come from the walk that decides ``analyze``'s table, given no
+    words: by the block rule, a row h with cone apex a whose children draw
+    only from vertices up in every facet above h, a not among them, has
+    below it exactly the rows h ∪ S, S ⊆ up nonempty, all with apex a; the
+    walk gives h with that block's vertices, and they are expanded here.
     """
     table: dict[Word, ContractibilityResult] = {}
     for h, _, res, _, masks in _mandatory_rows(cpx):

@@ -559,6 +559,8 @@ FACET_12 = (full_word(12), word([1, 13]))
 @example(NeuralCode(13, frozenset({*FACET_12, word([3, 4]), word([3, 4, 5]), word([3, 7, 9]), word([3, 11, 12])})))
 # {1,3,5} lies in the block of {1,3}; its subword {3} heads a block that holds {3,5}, not it
 @example(NeuralCode(13, frozenset({*FACET_12, word([1, 3, 5]), word([1, 3])})))
+# {1,3,5} with its subword {3}, which heads no block of the walk without words
+@example(NeuralCode(13, frozenset({*FACET_12, word([1, 3, 5]), word([3])})))
 def test_streamed_analyze_matches_line_renderer(tmp_path, capsys, code):
     path = tmp_path / "c.code"
     path.write_text(serialize_code(code), encoding="utf-8")
@@ -640,6 +642,22 @@ def test_analyze_streams_a_large_table(tmp_path, monkeypatch):
     )
     assert sink.size == 1_352_229
     assert peak < sink.size / 4, (peak, sink.size)
+
+
+def test_analyze_every_face_of_a_simplex(tmp_path, monkeypatch):
+    # the 16,384 faces of the 14-simplex: finding their one maximal word
+    # by comparing every pair of words took 7.7 s
+    path = tmp_path / "simplex.code"
+    path.write_text(serialize_code(NeuralCode(14, frozenset(range(1 << 14)))), encoding="utf-8")
+    sink = ByteCount()
+    monkeypatch.setattr(sys, "stdout", sink)
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    # pinned from the pairwise scan
+    assert sink.digest.hexdigest() == (
+        "ffe7c94f8f44e1df54a0b75f77f0e1c5f957fd20c603639e282ee217e3ca5374"
+    )
 
 
 def test_analysis_report_holds_about_its_text():

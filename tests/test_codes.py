@@ -92,6 +92,14 @@ def test_maximal_codewords_examples():
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(codes(max_n=8, max_words=16))
+def test_maximal_codewords_match_their_definition(code):
+    assert maximal_codewords(code) == frozenset(
+        w for w in code.words if not any(w != v and w & v == w for v in code.words)
+    )
+
+
 def oracle_max_intersection_complete(code: NeuralCode) -> bool:
     """Brute force over every subset of maximal codewords of size >= 2."""
     maxima = sorted(maximal_codewords(code))

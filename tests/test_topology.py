@@ -678,26 +678,18 @@ def test_walk_matches_reference_walk(code):
                 assert by_apex.setdefault(res.cone_apex, res) is res
 
 
-@given(st.integers(1, 2**10 - 1))
-def test_block_position_is_the_row_of_a_subset(up):
-    _, masks = topology._label_table(up, [str(i) for i in range(11)], {})
-    assert [topology._block_position(up, b) for b in masks] == list(range(len(masks)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(codes(max_n=9, max_words=10))
-# {2,4} and {3,5,7} in the blocks below {2} and {3}; the prefix {1} of {1,9} heads no block
+# without the words, {2} and {3} head blocks that hold {2,4} and {3,5,7}
 @example(NeuralCode(9, frozenset({full_word(8), word([2, 4]), word([3, 5, 7]), word([1, 9])})))
-# {1,3,5} in the block of {1,3}, not in that of its subword {3}
+# without the words, {1,3} heads a block that holds {1,3,5}; the codeword {3} still heads one
 @example(NeuralCode(13, frozenset({full_word(12), word([1, 13]), word([1, 3, 5]), word([3])})))
-def test_block_rows_cut_blocks_at_their_codewords(code):
-    entries = topology._mandatory_rows(simplicial_complex(code))
-    expected = {}
-    for h, _, _, _, masks in entries:
-        positions = [i for i, b in enumerate(masks) if h | b in code.words]
-        if positions:
-            expected[h] = positions
-    assert topology._block_rows(entries, code.words) == expected
+def test_blocks_given_the_words_hold_no_codeword(code):
+    cpx = simplicial_complex(code)
+    entries = topology._mandatory_rows(cpx, code.words)
+    assert not any(h | b in code.words for h, _, _, _, masks in entries for b in masks)
+    rows = [(h | b, res) for h, _, res, _, masks in entries for b in (0, *masks)]
+    assert rows == list(mandatory_codewords(cpx).items())
 
 
 @pytest.mark.parametrize("family", [gen_an, gen_cn])
