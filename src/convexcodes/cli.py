@@ -25,7 +25,6 @@ from .codes import (
     word_label,
 )
 from .formats import (
-    ParseError,
     _decimal,
     parse_arrangement,
     parse_code,
@@ -33,7 +32,7 @@ from .formats import (
     serialize_code,
 )
 from .generators import FAMILIES, corpus, family_entry
-from .geometry import TopologyError, code_of_arrangement
+from .geometry import code_of_arrangement
 
 if TYPE_CHECKING:
     from .topology import Entry, LocalObstructionReport
@@ -284,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ParseError, TopologyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

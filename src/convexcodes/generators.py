@@ -376,7 +376,7 @@ def family_entry(family: str, n: int, tags: Iterable[str] = ()) -> CorpusEntry:
 def _family_entries() -> list[CorpusEntry]:
     # every realization for n = 2..5 but cn_rn_5; its extraction takes milliseconds,
     # but adding it would add an .arr file to the corpus that the extract
-    # benchmark reads, and ROADMAP item 1 decides the corpus's next files
+    # benchmark reads, and ROADMAP item 4 decides the corpus's next files
     return [
         family_entry(family, n, [t for t in spec.realizations if (family, t, n) != ("cn", "rn", 5)])
         for family, spec in FAMILIES.items()

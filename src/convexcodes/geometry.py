@@ -43,7 +43,7 @@ from math import lcm
 from operator import eq, le, lt, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .codes import NeuralCode, Word, _Frozen, full_word, members
+from .codes import MAX_NEURONS, NeuralCode, Word, _Frozen, full_word, members
 from .fm import _extend, _holds, _IneqSystem, _IntPoint, _negate, _solve, _Stored, _stored_rows
 
 Point = tuple[Fraction, ...]
@@ -369,10 +369,11 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     so every codeword is still reached, and the number of faces searched
     follows the number of distinct intersection regions rather than 2^k for
     k sets through one point.  The empty codeword is decided by the same
-    atom search as every other pattern.
+    atom search as every other pattern.  Its one size limit is MAX_NEURONS
+    sets, checked before any solve; run time has no bound yet (ROADMAP item 12).
     """
-    if arr.n > 20:
-        raise ValueError(f"arrangement has {arr.n} sets; extraction is capped at 20")
+    if arr.n > MAX_NEURONS:
+        raise ValueError(f"arrangement has {arr.n} sets; its code exceeds the {MAX_NEURONS}-neuron cap")
     # the copies of each distinct set as a mask, keyed by its stored rows
     groups: dict[frozenset[_Stored], Word] = {}
     for i, rows in enumerate(arr._rows):

@@ -90,7 +90,7 @@ class ContractibilityResult(NamedTuple):
             if self.empty:
                 return "non-contractible [empty realization]"
             return f"non-contractible [nonzero reduced betti in dimension {self.nonzero_betti_dim}]"
-        return "unknown [no certificate within budget]"
+        return "unknown [zero rational homology, greedy collapse stuck]"
 
 
 def link(cpx: SimplicialComplex, sigma: Word) -> SimplicialComplex:

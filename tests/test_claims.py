@@ -15,6 +15,7 @@ import pytest
 
 from convexcodes import Topology, code_of_arrangement, is_locally_good
 from convexcodes.formats import parse_arrangement, parse_code
+from convexcodes.generators import gen_an, gen_cn, realization_an_r2, realization_cn_rn
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -38,8 +39,13 @@ def closed_realization(stem, name, dim):
     """The corpus arrangement ``stem`` is closed, in R^dim, and extracts to
     the corpus code ``name``."""
     arr = parse_arrangement((CORPUS / f"{stem}.arr").read_text(encoding="utf-8"))
-    assert arr.topology is Topology.CLOSED and arr.dim == dim, stem
-    assert code_of_arrangement(arr) == read_code(name), stem
+    closed_code(arr, read_code(name), dim)
+
+
+def closed_code(arr, code, dim):
+    """The arrangement is closed, in R^dim, and extracts to ``code``."""
+    assert arr.topology is Topology.CLOSED and arr.dim == dim, (arr.n, arr.dim)
+    assert code_of_arrangement(arr) == code, (arr.n, arr.dim)
 
 
 @claim(CITED)
@@ -84,16 +90,20 @@ def open_dimension_rises_by_at_most_one():
 
 @claim(CERTIFIED)
 def an_closed_dimension_at_most_2():
-    """the closed embedding dimension of an_n is at most 2 (an_r2_n extracts to an_n, n = 2..5)"""
+    """the closed embedding dimension of an_n is at most 2 (an_r2_n extracts to an_n, n = 2..31)"""
     for n in range(2, 6):
         closed_realization(f"an_r2_{n}", f"an_{n}", 2)
+    for n in range(6, 32):
+        closed_code(realization_an_r2(n), gen_an(n), 2)
 
 
 @claim(CERTIFIED)
 def cn_closed_dimension_at_most_n():
-    """the closed embedding dimension of cn_n is at most n (cn_rn_n extracts to cn_n, n = 2..4)"""
+    """the closed embedding dimension of cn_n is at most n (cn_rn_n extracts to cn_n, n = 2..16)"""
     for n in range(2, 5):
         closed_realization(f"cn_rn_{n}", f"cn_{n}", n)
+    for n in range(5, 17):
+        closed_code(realization_cn_rn(n), gen_cn(n), n)
 
 
 @claim(ASSERTED)

@@ -271,6 +271,19 @@ def test_gen_family_files(tmp_path, capsys, family, n):
             assert (out / f"{stem}.arr").read_bytes() == (CORPUS / f"{stem}.arr").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "family, n, tag", [("an", 10, "r2"), ("an", 31, "r2"), ("sn", 31, "r2"), ("cn", 16, "rn")]
+)
+def test_gen_writes_what_verify_accepts(tmp_path, capsys, family, n, tag):
+    # past the corpus, up to an_r2_31's 63 sets: every file gen writes verifies
+    argv = ["gen", family, "--n", str(n), "--realization", tag, "--out", str(tmp_path)]
+    status, _, err = run(capsys, *argv)
+    assert status == 0 and not err
+    arr, code = tmp_path / f"{family}_{tag}_{n}.arr", tmp_path / f"{family}_{n}.code"
+    status, out, err = run(capsys, "verify", str(arr), str(code))
+    assert (status, err) == (0, "") and out.startswith("ok:")
+
+
 def test_gen_corpus_entry(tmp_path, capsys):
     # every corpus entry regenerates its shipped files, and together they are the corpus
     for name in [e.name for e in generators.corpus()]:
@@ -406,7 +419,7 @@ def test_link_unknown_on_cone_over_rp2(tmp_path, capsys, rp2_facets):
     cone.write_text("neurons: 7\n" + "".join(" ".join(map(str, f + (7,))) + "\n" for f in rp2_facets))
     status, out, err = run(capsys, "link", str(cone), "--face", "7")
     assert status == 0 and not err
-    assert "link status: unknown [no certificate within budget]\n" in out
+    assert "link status: unknown [zero rational homology, greedy collapse stuck]\n" in out
 
 
 def test_usage_errors_exit_1(capsys):
@@ -577,7 +590,8 @@ def test_analyze_renders_undetermined_rows(capsys, tmp_path):
     status, out, err = run(capsys, "analyze", str(path))
     assert status == 0 and not err
     assert "locally good: unknown\n" in out
-    assert "  face {7}: undetermined (unknown [no certificate within budget]), in code: no\n" in out
+    status_text = "unknown [zero rational homology, greedy collapse stuck]"
+    assert f"  face {{7}}: undetermined ({status_text}), in code: no\n" in out
 
 
 def test_shared_certificate_renders_both_tails(capsys, tmp_path):

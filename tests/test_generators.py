@@ -115,16 +115,16 @@ def test_an_realization_landmarks():
 
 @pytest.mark.parametrize(
     "realization, family, n",
-    [(realization_cn_rn, gen_cn, n) for n in range(5, 10)]
-    + [(realization_an_r2, gen_an, n) for n in range(6, 10)]
-    + [(realization_sn_r2, gen_sn, n) for n in (*range(6, 10), 19)],
-    ids=[f"cn_rn_{n}" for n in range(5, 10)]
-    + [f"an_r2_{n}" for n in range(6, 10)]
-    + [f"sn_r2_{n}" for n in (*range(6, 10), 19)],
+    [(realization_cn_rn, gen_cn, n) for n in (*range(5, 10), 12, 16)]
+    + [(realization_an_r2, gen_an, n) for n in (*range(6, 10), 16, 31)]
+    + [(realization_sn_r2, gen_sn, n) for n in (*range(6, 10), 19, 31)],
+    ids=[f"cn_rn_{n}" for n in (*range(5, 10), 12, 16)]
+    + [f"an_r2_{n}" for n in (*range(6, 10), 16, 31)]
+    + [f"sn_r2_{n}" for n in (*range(6, 10), 19, 31)],
 )
 def test_family_realizations_past_the_corpus(realization, family, n):
-    # cn_rn_9 and an_r2_9 have 19 sets, sn_r2_19 has 20: the largest the
-    # 20-set extraction cap allows
+    # an_r2_31 has 63 sets, the most below the 64-neuron cap; sn_r2_31 has
+    # 32 and cn_rn_16 has 33, in R^16
     assert code_of_arrangement(realization(n)) == family(n)
 
 

@@ -648,10 +648,19 @@ def test_interval_codes_enumerable_by_hand():
     assert code_of_arrangement(touching_open) == neural_code(2, [[1], [2], []])
 
 
-def test_extraction_cap():
-    sets = tuple(unit_square() for _ in range(21))
-    with pytest.raises(ValueError):
-        code_of_arrangement(Arrangement(2, Topology.CLOSED, sets))
+def test_extraction_limit_is_the_neuron_cap(monkeypatch):
+    square = unit_square()
+    arr = Arrangement(2, Topology.CLOSED, (square,) * 64)
+    assert code_of_arrangement(arr) == neural_code(64, [[], range(1, 65)])
+
+    def forbidden(*args):
+        raise AssertionError("solved before the size check")
+
+    # the check comes before the search: no solve runs on 65 sets
+    monkeypatch.setattr(geometry, "_solve", forbidden)
+    arr = Arrangement(2, Topology.CLOSED, (square,) * 65)
+    with pytest.raises(ValueError, match="has 65 sets; its code exceeds the 64-neuron cap"):
+        code_of_arrangement(arr)
 
 
 def test_atom_witnesses_are_sound(corpus_entries, extracted_codes):

@@ -195,7 +195,7 @@ def test_rp2_is_unknown_with_zero_homology(rp2_facets):
     assert reduced_homology(rp2) == (0, 0, 0)
     res = contractibility(rp2)
     assert res.status is Contractibility.UNKNOWN
-    assert res.describe() == "unknown [no certificate within budget]"
+    assert res.describe() == "unknown [zero rational homology, greedy collapse stuck]"
 
 
 def test_rp2_with_pendant_edges_runs_one_collapse(rp2_facets, monkeypatch):
