@@ -358,12 +358,11 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     - j > top: sigma is not a codeword, so its atom search is skipped, and
       only children adding sets up to j are kept, since the others lack j.
 
-    Containing sets pass down to the children, whose regions they contain
-    too, so no child tests them again.  A child adding a set in meets takes
-    that set's rows as pending rows, with a pool point as its witness, and
-    needs no solve; one adding a set in apart is not a face.  A sigma
-    already in the pool skips its atom search, whose levels for sets in
-    meets or apart need no solve.
+    Each face proves its own containing set, and apart is the only fact a
+    child inherits.  A child adding a set in meets is extended by that set's
+    rows with no solve, since a pool point lies in both; one adding a set in
+    apart is not a face.  A sigma already in the pool skips its atom search,
+    whose levels for sets in meets or apart need no solve.
 
     The increasing chain of prefixes of a codeword never meets either rule,
     so every codeword is still reached, and the number of faces searched
@@ -385,17 +384,10 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
     dim = arr.dim
     origin = ([0] * dim, 1)
     pool: dict[Word, _IntPoint] = {_pattern(sets, origin): origin}
-    # (sigma, top, system of U_sigma once pending is added to it, pending,
-    # sets outside sigma known to contain U_sigma, sets known to miss it)
-    queue: deque[tuple[Word, int, _IneqSystem, Sequence[_Stored], Word, Word]] = deque(
-        [(0, 0, _IneqSystem(), [], 0, 0)]
-    )
+    # (sigma, top, system of U_sigma, sets known to miss U_sigma)
+    queue: deque[tuple[Word, int, _IneqSystem, Word]] = deque([(0, 0, _IneqSystem(), 0)])
     while queue:
-        sigma, top, system, pending, known, apart = queue.popleft()
-        if pending:
-            # a pool point satisfies every row, so the adds cannot fail
-            system = _extend(system, pending)
-            assert system is not None
+        sigma, top, system, apart = queue.popleft()
         witness = None
         meets = leaves = 0
         for p, w in pool.items():
@@ -411,12 +403,8 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
             meets |= p
             leaves |= ~p
 
-        # the smallest known containing set already skips sigma's atom search
-        # and bounds its children, so larger sets need no test
-        cover = (known & -known).bit_length() or n + 1
-        for j in members(meets & ~leaves & ~sigma & ~known):
-            if j > cover:
-                break
+        cover = n + 1  # the smallest set containing U_sigma, if any
+        for j in members(meets & ~leaves & ~sigma):
             if leaves & (1 << (j - 1)):
                 continue  # a point found by an earlier test lies outside U_j
             # U_sigma lies inside U_j when it meets the negation of no row of
@@ -426,7 +414,6 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
                     add_point(solved[1])
                     break
             else:
-                known |= 1 << (j - 1)
                 cover = j
                 break
         if cover < top:
@@ -435,19 +422,21 @@ def code_of_arrangement(arr: Arrangement) -> NeuralCode:
         for j in range(top + 1, min(cover, n) + 1):
             bit = 1 << (j - 1)
             if meets & bit:
-                children.append((j, system, sets[j - 1]))
+                # a pool point lies in U_sigma and U_j, so the adds cannot fail
+                child_system = _extend(system, sets[j - 1])
+                assert child_system is not None
+                children.append((j, child_system))
             elif not apart & bit:
                 solved = _solve(system, sets[j - 1], dim)
                 if solved is None:
                     apart |= bit
                 else:
                     add_point(solved[1])
-                    children.append((j, solved[0], []))
+                    children.append((j, solved[0]))
         # apart is complete only now, after the last child's solve
-        for j, child_system, child_pending in children:
-            bit = 1 << (j - 1)
-            queue.append((sigma | bit, j, child_system, child_pending, known & ~bit, apart))
-        if not known and sigma not in pool:
+        for j, child_system in children:
+            queue.append((sigma | 1 << (j - 1), j, child_system, apart))
+        if cover > n and sigma not in pool:
             assert witness is not None
             atom = _atom_search(sets, dim, sigma, system, witness, meets, apart)
             if atom is not None:

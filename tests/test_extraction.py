@@ -164,6 +164,23 @@ def box(lo, hi, cut=None) -> Polyhedron:
     return polyhedron(dim, rows)
 
 
+# the unit square, the box [1/2, 2] x [0, 1] and the diamond
+# |x - 1/2| + |y - 1/2| <= 3/2, which contains the square
+SQUARE_BOX_DIAMOND = (
+    box((0, 0), (1, 1)),
+    box((Fraction(1, 2), 0), (2, 1)),
+    polyhedron(
+        2,
+        [
+            ((1, 1), "<=", Fraction(5, 2)),
+            ((1, -1), "<=", Fraction(3, 2)),
+            ((-1, 1), "<=", Fraction(3, 2)),
+            ((-1, -1), "<=", Fraction(1, 2)),
+        ],
+    ),
+)
+
+
 @st.composite
 def box_chains(draw):
     """Boxes along the first axis, each meeting (or, closed, touching) the next.
@@ -251,6 +268,10 @@ def box_chains(draw):
         ),
     )
 )
+# the diamond contains U_1 through rows neither box holds, so the face
+# {1, 2} below {1} proves that containment again with solves of its own
+@example(Arrangement(2, Topology.CLOSED, SQUARE_BOX_DIAMOND))
+@example(Arrangement(2, Topology.OPEN, SQUARE_BOX_DIAMOND))
 def test_pruned_search_matches_oracle(arr):
     assert code_of_arrangement(arr) == oracle_code(arr)
 
@@ -338,11 +359,15 @@ FM_SOLVES_PAST_THE_CORPUS = {
     "an_r2_6": 51,
     "an_r2_7": 67,
     "an_r2_8": 85,
+    "an_r2_16": 301,
+    "an_r2_31": 1051,
     "cn_rn_5": 75,
     "cn_rn_6": 104,
     "cn_rn_7": 138,
     "cn_rn_8": 177,
     "cn_rn_9": 221,
+    "cn_rn_12": 383,
+    "cn_rn_16": 669,
     "sn_r2_6": 51,
     "sn_r2_7": 67,
     "sn_r2_8": 85,
