@@ -165,25 +165,17 @@ def parse_arrangement(text: str) -> Arrangement:
         raise ParseError(lineno, f"unknown topology {top_name!r}")
     topology = Topology(top_name)
 
-    sets: list[Polyhedron] = []
-    current: list[LinearConstraint] | None = None
+    sets: list[list[LinearConstraint]] = []
     # each distinct number token is parsed once, at its first appearance
     numbers: dict[str, Fraction] = {}
-
-    def flush() -> None:
-        if current is not None:
-            sets.append(Polyhedron(dim, tuple(current)))
-
     for lineno, line in lines[2:]:
         if line.startswith("set"):
             index = _parse_count(line.removeprefix("set").strip(), lineno, "set index")
-            expected = len(sets) + (2 if current is not None else 1)
-            if index != expected:
-                raise ParseError(lineno, f"expected 'set {expected}', got 'set {index}'")
-            flush()
-            current = []
+            if index != len(sets) + 1:
+                raise ParseError(lineno, f"expected 'set {len(sets) + 1}', got 'set {index}'")
+            sets.append([])
             continue
-        if current is None:
+        if not sets:
             raise ParseError(lineno, "constraint before any 'set <i>' line")
         tokens = line.split()
         if len(tokens) != dim + 2:
@@ -206,11 +198,10 @@ def parse_arrangement(text: str) -> Arrangement:
             if t not in numbers:
                 numbers[t] = _parse_number(t, lineno)
         values = [numbers[t] for t in tokens]
-        current.append(LinearConstraint(tuple(values[:dim]), rel, values[dim]))
-    flush()
+        sets[-1].append(LinearConstraint(tuple(values[:dim]), rel, values[dim]))
     if not sets:
         raise ParseError(len(text.splitlines()) or 1, "arrangement has no sets")
-    return Arrangement(dim, topology, tuple(sets))
+    return Arrangement(dim, topology, tuple([Polyhedron(dim, tuple(cs)) for cs in sets]))
 
 
 def serialize_arrangement(arr: Arrangement) -> str:

@@ -6,12 +6,12 @@ the API.  ``integer_rows`` scales them to integer rows: an integer
 coefficient vector, an integer bound and a strict flag, an equality being
 two opposite weak rows.  Feasibility is the exact Fourier-Motzkin kernel of
 ``fm``, which decides both open and closed semantics on these rows in
-integers.  An arrangement checks its constraints against its topology when
-it is built, and builds its rows from those validated constraints, every row
-strict under OPEN; it hands each row to the kernel's stored form once, on
-first use, and every query on it reuses them.  Membership asks the kernel,
-once per set, whether the set's rows hold in integers at a kernel witness;
-Fractions appear again only in the points the API returns.
+integers.  An arrangement reads each set through ``interpreted_constraints``,
+both to check it against its topology when it is built and to build its
+rows, every row strict under OPEN; it hands each row to the kernel's stored
+form once, on first use, and every query on it reuses them.  Membership
+asks the kernel, once per set, whether the set's rows hold in integers at a
+kernel witness; Fractions appear again only in the points the API returns.
 
 An arrangement is an ordered family U_1..U_n of such sets in a common
 ambient dimension, tagged open or closed.  The code of the arrangement is
@@ -122,15 +122,10 @@ class Arrangement(_Frozen):
         for k, p in enumerate(sets, start=1):
             if p.dim != dim:
                 raise ValueError(f"set {k} lives in dimension {p.dim}, expected {dim}")
-            for c in p.constraints:
-                if topology is Topology.OPEN and c.rel is Rel.EQ:
-                    raise TopologyError(
-                        f"set {k}: equality constraint not allowed in an open arrangement"
-                    )
-                if topology is Topology.CLOSED and c.rel is Rel.LT:
-                    raise TopologyError(
-                        f"set {k}: strict constraint not allowed in a closed arrangement"
-                    )
+            try:
+                interpreted_constraints(p, topology)
+            except TopologyError as exc:
+                raise TopologyError(f"set {k}: {exc}") from None
         self.__dict__.update(dim=dim, topology=topology, sets=sets)
 
     @property
@@ -139,15 +134,9 @@ class Arrangement(_Frozen):
 
     @cached_property
     def _rows(self) -> tuple[tuple[_Stored, ...], ...]:
-        """The stored rows of each set under the topology, built on first use.
-
-        ``__init__`` already rejected the relations the topology forbids, so
-        the rows come from the constraints as they are, every one strict under
-        OPEN: those of ``interpreted_constraints``, without rebuilding them.
-        """
-        open_ = self.topology is Topology.OPEN
+        """Each set's stored rows, read through ``interpreted_constraints`` on first use."""
         return tuple(
-            [_stored_rows([(key, b, open_ or s) for key, b, s in integer_rows(p.constraints)])
+            [_stored_rows(integer_rows(interpreted_constraints(p, self.topology)))
              for p in self.sets]
         )
 
@@ -159,8 +148,6 @@ def interpreted_constraints(
 
     Open convex sets are empty or full-dimensional, so equality constraints
     are rejected loudly under OPEN rather than treated as an empty set.
-    ``Arrangement._rows`` repeats the open rule, so a change to one is made
-    in both.
     """
     if topology is Topology.CLOSED:
         for c in poly.constraints:

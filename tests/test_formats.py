@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexcodes import Rel, Topology, formats, neural_code, word
+from convexcodes import Rel, Topology, code_of_arrangement, formats, neural_code, word
 from convexcodes.formats import (
     ParseError,
     _parse_number,
@@ -232,6 +232,22 @@ def test_parse_arrangement_structural_errors():
         parse_arrangement("dimension: 2\ntopology: sideways\nset 1\n")
     with pytest.raises(ParseError):
         parse_arrangement("dimension: 2\ntopology: closed\n")
+    header = "dimension: 1\ntopology: closed\n"
+    for body, line, message in [
+        ("set 2\n", 3, "expected 'set 1', got 'set 2'"),
+        ("set 1\n1 <= 0\nset 3\n", 5, "expected 'set 2', got 'set 3'"),
+        # an empty set still counts
+        ("set 1\nset 1\n", 4, "expected 'set 2', got 'set 1'"),
+        ("# no set yet\n1 <= 0\n", 4, "constraint before any 'set <i>' line"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_arrangement(header + body)
+        assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+    # an empty set is accepted
+    for top in ("closed", "open"):
+        arr = parse_arrangement(f"dimension: 1\ntopology: {top}\nset 1\nset 2\n1 <= 0\n")
+        assert [len(p.constraints) for p in arr.sets] == [0, 1]
+        assert code_of_arrangement(arr) == neural_code(2, [[1], [1, 2]])
 
 
 def test_parse_arrangement_rejects_dimension_past_an_index():

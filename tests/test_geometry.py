@@ -547,6 +547,11 @@ def test_arrangement_validation():
         Arrangement(2, Topology.CLOSED, (strict,))
     with pytest.raises(ValueError):
         Arrangement(1, Topology.CLOSED, (unit_square(),))
+    # the message names the set that breaks the topology
+    for topology, bad in ((Topology.OPEN, segment), (Topology.CLOSED, strict)):
+        with pytest.raises(TopologyError) as err:
+            Arrangement(2, topology, (unit_square(), bad))
+        assert str(err.value).startswith("set 2: ")
 
 
 def test_arrangement_reads_topology_by_value():

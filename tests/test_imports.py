@@ -36,6 +36,14 @@ def test_imports_are_stdlib_or_package(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml claims Python 3.10; this catches newer syntax only, not
+    # newer library calls
+    tests = Path(__file__).resolve().parent
+    for path in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_no_module_imports_dataclasses():
     users = [p.name for p in sorted(SRC.glob("*.py")) if "dataclasses" in top_level_imports(p)]
     assert not users, f"dataclasses imported by {users}"

@@ -280,6 +280,30 @@ def test_homology_examples():
     assert reduced_homology(cpx_of(2, (1,), (2,))) == (1,)
     assert reduced_homology(cpx_of(1, (1,))) == (0,)
     assert reduced_homology(cpx_of(1, ())) == ()
+    assert reduced_homology(SimplicialComplex(3, frozenset())) == ()
+
+
+def test_greedy_collapse_shrinks_the_rank_computation():
+    # 60 facets of 9 vertices on 20, three arithmetic progressions mod 20:
+    # no vertex is dominated, so the strong core is the whole complex and
+    # only the greedy collapse keeps the boundary matrices small (13,300
+    # columns without it)
+    facets = [
+        word([(i + b * j) % 20 + 1 for j in range(9)]) for b in (3, 7, 9) for i in range(20)
+    ]
+    cpx = complex_from_faces(20, facets)
+    assert len(cpx.facets) == 60
+    assert topology._strong_core(cpx) == cpx
+    columns = []
+    real = topology._column_rank
+
+    def counting(cols):
+        columns.append(len(cols))
+        return real(cols)
+
+    with mock.patch.object(topology, "_column_rank", counting):
+        assert reduced_homology(cpx) == (0, 0, 0, 2, 1, 0, 0, 0, 0)
+    assert sum(columns) <= 1060
 
 
 def test_homology_family_one_hole():
