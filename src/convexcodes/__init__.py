@@ -7,7 +7,8 @@ semantics.
 
 Importing the package loads none of its modules: each exported name, and
 each submodule, is imported on first access (PEP 562), so a process that
-only extracts codes never loads ``topology``.
+only extracts codes never loads ``topology``.  ``_EXPORTS`` is the only list
+of public names: no submodule declares ``__all__``.
 """
 
 from importlib import import_module

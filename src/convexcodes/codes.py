@@ -142,8 +142,6 @@ class SimplicialComplex(_Frozen):
     def face_set(self) -> frozenset[Word]:
         faces: set[Word] = set()
         for f in self.facets:
-            if f in faces:
-                continue
             # enumerate all submasks of f, including 0
             sub = f
             while True:
@@ -226,21 +224,16 @@ def _intersections(maxima: list[Word]) -> Iterator[tuple[Word, tuple[Word, ...]]
     """Each distinct intersection of >= 2 maximal codewords, with its sets;
     maxima holds the maximal codewords in ``word_key`` order.
 
-    Intersections are explored breadth-first (all pairs first, then deeper
-    meets), so each value comes once, with as few maximal codewords as give
-    it, in a deterministic order.
+    Intersections are explored breadth-first from the maximal codewords
+    themselves (all pairs first, then deeper meets), so each value comes once,
+    with as few maximal codewords as give it, in a deterministic order.  The
+    seeds are never yielded: an intersection of two or more distinct maximal
+    codewords is a proper subset of each, so never itself maximal.  The first
+    level meets pairs (i, j) with i < j in index order and finds each pair with
+    j <= i already seen.
     """
-    seen: dict[Word, tuple[Word, ...]] = {}
-    frontier: list[Word] = []
-    for a_idx in range(len(maxima)):
-        for b_idx in range(a_idx + 1, len(maxima)):
-            a, b = maxima[a_idx], maxima[b_idx]
-            v = a & b
-            if v in seen:
-                continue
-            seen[v] = (a, b)
-            frontier.append(v)
-            yield v, (a, b)
+    seen = {m: (m,) for m in maxima}
+    frontier = maxima
     while frontier:
         nxt: list[Word] = []
         for v in frontier:

@@ -456,25 +456,3 @@ def line_meets(
         offset = c.bound - sum((a * x for a, x in zip(c.coeffs, pt)), Fraction(0))
         one_d.append(LinearConstraint((slope,), c.rel, offset))
     return feasible_point(integer_rows(one_d), 1) is not None
-
-
-__all__ = [
-    "Arrangement",
-    "LinearConstraint",
-    "Point",
-    "Polyhedron",
-    "Rel",
-    "Row",
-    "Topology",
-    "TopologyError",
-    "code_of_arrangement",
-    "constraint",
-    "feasible_point",
-    "find_atom_point",
-    "integer_rows",
-    "interpreted_constraints",
-    "line_meets",
-    "membership_pattern",
-    "point_satisfies",
-    "polyhedron",
-]

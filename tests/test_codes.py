@@ -20,8 +20,10 @@ from convexcodes import (
     restrict,
     simplicial_complex,
     word,
+    word_key,
     word_label,
 )
+from convexcodes.codes import _intersections
 from convexcodes.generators import (
     boxes6_code,
     fan6_code,
@@ -75,6 +77,10 @@ def test_word_validation():
         NeuralCode(2, frozenset({word([3])}))
     with pytest.raises(ValueError):
         NeuralCode(0, frozenset())
+    with pytest.raises(ValueError, match="neuron count 65 exceeds the 64-neuron cap"):
+        NeuralCode(65, frozenset())
+    with pytest.raises(ValueError, match=r"codeword \{3\} is not a subset of \[2\]"):
+        add_codeword(neural_code(2, [[1]]), [3])
 
 
 def test_boolean_neuron_count_is_rejected():
@@ -141,6 +147,43 @@ def test_max_intersection_matches_bruteforce(code):
 @given(codes(max_n=5, max_words=8))
 def test_max_intersection_matches_bruteforce_random(code):
     assert is_max_intersection_complete(code).complete == oracle_max_intersection_complete(code)
+
+
+def two_loop_intersections(maxima):
+    """The reference for ``_intersections``: every pair of maximal codewords
+    in a double loop, then a breadth-first search from the pairs' values."""
+    seen = {}
+    frontier = []
+    for i, a in enumerate(maxima):
+        for b in maxima[i + 1:]:
+            v = a & b
+            if v in seen:
+                continue
+            seen[v] = (a, b)
+            frontier.append(v)
+            yield v, (a, b)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for m in maxima:
+                u = v & m
+                if u in seen:
+                    continue
+                seen[u] = seen[v] + (m,)
+                nxt.append(u)
+                yield u, seen[u]
+        frontier = nxt
+
+
+@settings(max_examples=200)
+@given(codes())
+@example(boxes6_code())
+@example(neither8_code())
+def test_intersections_match_the_two_loop_reference(code):
+    # one breadth-first loop seeded with the maximal codewords yields the same
+    # values, in the same order, with the same witness sets
+    maxima = sorted(maximal_codewords(code), key=word_key)
+    assert list(_intersections(maxima)) == list(two_loop_intersections(maxima))
 
 
 # --- restriction and permutation -------------------------------------------------

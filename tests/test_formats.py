@@ -9,7 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexcodes import Rel, Topology, code_of_arrangement, formats, neural_code, word
+from convexcodes import (
+    Arrangement,
+    LinearConstraint,
+    Polyhedron,
+    Rel,
+    Topology,
+    code_of_arrangement,
+    formats,
+    neural_code,
+    word,
+)
 from convexcodes.formats import (
     ParseError,
     _parse_number,
@@ -239,6 +249,7 @@ def test_parse_arrangement_structural_errors():
         # an empty set still counts
         ("set 1\nset 1\n", 4, "expected 'set 2', got 'set 1'"),
         ("# no set yet\n1 <= 0\n", 4, "constraint before any 'set <i>' line"),
+        ("set 1\n1 >= 2\n", 4, "unknown relation '>='"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_arrangement(header + body)
@@ -276,6 +287,12 @@ def test_serialize_preserves_constraint_order():
     lines = text.splitlines()
     first_block = lines[lines.index("set 1") + 1 : lines.index("set 2")]
     assert first_block == ["-1 0 <= 9", "1 0 <= 2", "0 -1 <= 0", "0 1 <= 2"]
+
+
+def test_serialize_arrangement_refuses_strict_rows():
+    strict = Polyhedron(1, (LinearConstraint((Q(1),), Rel.LT, Q(0)),))
+    with pytest.raises(ValueError, match="strict rows are expressed by the open topology"):
+        serialize_arrangement(Arrangement(1, Topology.OPEN, (strict,)))
 
 
 def test_serialize_is_deterministic():

@@ -547,6 +547,8 @@ def test_arrangement_validation():
         Arrangement(2, Topology.CLOSED, (strict,))
     with pytest.raises(ValueError):
         Arrangement(1, Topology.CLOSED, (unit_square(),))
+    with pytest.raises(ValueError, match="constraint has 1 coefficients in dimension 2"):
+        polyhedron(2, [((1,), "<=", 0)])
     # the message names the set that breaks the topology
     for topology, bad in ((Topology.OPEN, segment), (Topology.CLOSED, strict)):
         with pytest.raises(TopologyError) as err:
@@ -651,6 +653,10 @@ def test_interval_codes_enumerable_by_hand():
     assert code_of_arrangement(touching) == neural_code(2, [[1], [1, 2], [2], []])
     touching_open = Arrangement(1, Topology.OPEN, (interval(0, 1), interval(1, 2)))
     assert code_of_arrangement(touching_open) == neural_code(2, [[1], [2], []])
+    apart = Arrangement(1, Topology.CLOSED, (interval(-1, 0), interval(1, 2)))
+    assert find_atom_point(apart, word([1, 2])) is None
+    with pytest.raises(ValueError, match="pattern uses sets beyond the arrangement's 2"):
+        find_atom_point(apart, word([3]))
 
 
 def test_extraction_limit_is_the_neuron_cap(monkeypatch):
@@ -906,6 +912,8 @@ def test_line_meets_examples():
         assert line_meets(p, Topology.OPEN, (1, 0), (0, 1))
     with pytest.raises(ValueError):
         line_meets(petal_1(), Topology.CLOSED, (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="point/direction dimension mismatch"):
+        line_meets(interval(0, 1), Topology.CLOSED, (0, 0), (1,))
 
 
 def test_line_meets_segment_exactly():

@@ -97,6 +97,21 @@ def test_package_imports_only_names_its_modules_define():
     assert convexcodes.__all__ == list(convexcodes._EXPORTS)
 
 
+def test_only_the_package_declares_public_names():
+    # _EXPORTS in __init__.py is the one list of public names
+    declaring = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        targets = [
+            t for n in ast.walk(tree)
+            if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        ]
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            declaring.append(path.name)
+    assert declaring == ["__init__.py"]
+
+
 def test_package_names_every_submodule():
     import convexcodes
 

@@ -166,3 +166,17 @@ def test_record_semantics(cls, make, field, text):
         setattr(a, field, getattr(b, field))
     assert a == b
     assert repr(a) == text
+
+
+def test_frozen_records_keep_their_protocol():
+    code = _code()
+    assert word([1, 2]) in code and word([1]) not in code
+    assert not bool(MaxIntersectionCheck(False, (3, 5), 1))
+    assert bool(MaxIntersectionCheck(True))
+    # equal fields in a different record class: __eq__ returns NotImplemented
+    same_fields = SimplicialComplex(code.n, code.words)
+    assert code.__eq__(same_fields) is NotImplemented
+    assert code != same_fields and same_fields != code
+    with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+        del code.n
+    assert code == _code()
