@@ -204,19 +204,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    from .topology import contractibility, link
+    from .topology import FaceNotFoundError, contractibility, link
 
     code = parse_code(_read(args.code_file))
     try:
         face = word(_decimal(t) for t in args.face.split())
     except ValueError as exc:
         raise ValueError(f"bad --face value: {exc}") from None
-    cpx = simplicial_complex(code)
-    if not cpx.has_face(face):
+    try:
+        lk = link(simplicial_complex(code), face)
+    except FaceNotFoundError:
         raise ValueError(
             f"face {word_label(face)} is not in the code's simplicial complex"
-        )
-    lk = link(cpx, face)
+        ) from None
     res = contractibility(lk)
     facets = " ".join(word_label(f) for f in lk.sorted_facets())
     sys.stdout.write(f"face: {word_label(face)}\n")

@@ -30,10 +30,13 @@ row heads a block only when it is no proper prefix of a word, so no block
 holds a codeword.  The walk only decides: ``cli.render_analysis`` writes
 the rows of ``analyze``'s table straight to the output, a block in joins
 of at most 256 rows.
-Deleting dominated vertices keeps the homotopy type, so homology is
-computed on the strong core that is left, with boundary-matrix ranks
-reduced in integers.  Collapses find free faces one vertex up: sigma is
-free when it has one coface sigma ∪ {v}.
+Deleting dominated vertices keeps the homotopy type; each deletion changes
+only the facets through that vertex.  On the strong core that is left, a
+facet F whose cone over its trace (the maximal F ∩ G, G another facet) has
+fewer faces, by a bound read from the facets, is replaced by that cone,
+which keeps the homotopy type too; then boundary-matrix ranks are reduced
+in integers.  Collapses find free faces one vertex up: sigma is free when
+it has one coface sigma ∪ {v}.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .codes import (
     NeuralCode,
     SimplicialComplex,
     Word,
-    complex_from_faces,
+    _inclusion_maximal,
     missing_intersections,
     simplicial_complex,
     word_key,
@@ -163,17 +166,50 @@ def _strong_core(cpx: SimplicialComplex) -> SimplicialComplex:
     A vertex is dominated when its link is a cone; deleting it keeps the
     homotopy type (Barmak & Minian, *Strong homotopy types, nerves and
     collapses*, 2012).  The facets of the deletion of v are the
-    inclusion-maximal sets F ∖ {v}.
+    inclusion-maximal sets F ∖ {v}, so a deletion changes only the facets
+    through v, in place: each F ∖ {v} stays unless a facet without v holds
+    it (two of them cannot hold each other, as F does not hold another
+    facet), and every other vertex stays.
     """
-    rest = _vertex_mask(cpx.facets)
+    facets = set(cpx.facets)
+    rest = verts = _vertex_mask(facets)
     while rest:
         v = rest & -rest
         rest ^= v
-        if _apexes(cpx.facets, v):
-            cpx = complex_from_faces(cpx.n, (f & ~v for f in cpx.facets))
+        if _apexes(facets, v):
+            through = {f for f in facets if f & v}
+            facets -= through
+            facets |= {f ^ v for f in through if not any(f ^ v | g == g for g in facets)}
             # a deletion can dominate a vertex that was already passed
-            rest = _vertex_mask(cpx.facets)
-    return cpx
+            rest = verts = verts ^ v
+    return SimplicialComplex(cpx.n, frozenset(facets))
+
+
+def _coned(core: SimplicialComplex) -> SimplicialComplex:
+    """Replace each facet F by a cone on a fresh vertex over its trace, when smaller.
+
+    The trace of F is the maximal sets F ∩ G, G another facet: the faces F
+    shares with the rest.  F and the cone are both contractible and meet
+    the rest in the trace, so either glued in gives the same homotopy type;
+    and the traces of the other facets stay the same.  The cone has at most
+    2 + 2·Σ(2^|T| − 1) faces over the maximal sets T, against 2^|F| for F,
+    and replaces F only when that bound is smaller, so no face is added.
+    In a strong core of two or more facets every vertex of F lies in
+    another facet, so the cone has at least 2|F| + 2 faces, and the trace
+    of a facet with no more faces than that is not read.
+    """
+    facets = []
+    fresh = 1 << core.n
+    for f in core.facets:
+        size = 1 << f.bit_count()
+        if size > 2 * f.bit_count() + 2:
+            trace = _inclusion_maximal([f & g for g in core.facets if g != f])
+            if 2 + 2 * sum((1 << t.bit_count()) - 1 for t in trace) < size:
+                facets += [t | fresh for t in trace]
+                fresh <<= 1
+                continue
+        facets.append(f)
+    return SimplicialComplex(fresh.bit_length() - 1, frozenset(facets))
 
 
 def _greedy_collapse(faces: frozenset[Word]) -> tuple[set[Word], list[tuple[Word, Word]]]:
@@ -272,17 +308,20 @@ def reduced_homology(cpx: SimplicialComplex) -> tuple[int, ...]:
     Dominated vertices are deleted first.  Every vertex of a facet with two
     or more vertices is dominated, so a strong core of one facet is a single
     vertex or the facet ∅, with zeros; this shortcut stays because it builds
-    no face set.  Otherwise a greedy collapse shrinks the core and the
-    boundary-matrix ranks of what is left give the Betti numbers.  Both steps
-    are homotopy equivalences, and all arithmetic is exact.  The collapse is
-    what keeps a core with no dominated vertex cheap: on 60 facets of 9 of 20
-    vertices it cuts the rank computation from 13,300 columns to 1,060.
+    no face set.  Otherwise each facet of the core is replaced by its cone
+    over its trace when that has fewer faces (an_n's 2^n + n + 1 become
+    K_{2,n}'s 3n + 3), then a greedy collapse shrinks it and the
+    boundary-matrix ranks of what is left give the Betti numbers.  All three
+    steps are homotopy equivalences, and all arithmetic is exact.  The
+    collapse is what keeps a core with no dominated vertex cheap: on 60
+    facets of 9 of 20 vertices it cuts the rank computation from 13,300
+    columns to 1,060.
     """
     top_dim = cpx.dim
     core = _strong_core(cpx)
     if len(core.facets) == 1:
         return (0,) * (top_dim + 1)
-    faces, _ = _greedy_collapse(core.face_set)
+    faces, _ = _greedy_collapse(_coned(core).face_set)
     return _betti_of_faces(faces, top_dim)
 
 
@@ -298,9 +337,9 @@ def contractibility(cpx: SimplicialComplex) -> ContractibilityResult:
     three read the facets only.  A disconnected complex has a nonzero
     reduced Betti number in dimension 0, the first one ``reduced_homology``
     reports, so only connected complexes reach it; it builds the faces of
-    the strong core only.  A complex with zero rational homology on which
-    the greedy collapse gets stuck, such as the 6-vertex real projective
-    plane, stays UNKNOWN.
+    the coned strong core only.  A complex with zero rational homology on
+    which the greedy collapse gets stuck, such as the 6-vertex real
+    projective plane, stays UNKNOWN.
     """
     if not any(cpx.facets):
         return ContractibilityResult(Contractibility.NON_CONTRACTIBLE, empty=True)

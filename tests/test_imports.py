@@ -58,13 +58,6 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert done.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
-def test_exported_names_exist(path):
-    module = importlib.import_module(f"convexcodes.{path.stem}".removesuffix(".__init__"))
-    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
-    assert not missing, f"{path.name} exports missing names {missing}"
-
-
 def test_only_fm_reads_system_rows():
     # a system's rows, and so the stored-row layout, are read only inside fm.py
     readers = {}

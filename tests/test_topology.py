@@ -313,10 +313,61 @@ def test_homology_family_one_hole():
     assert reduced_homology(simplicial_complex(gen_cn(3)))[1] == 2
 
 
+def collapsed_face_counts(cpx):
+    """The reduced Betti numbers of cpx, and the size of each face set the greedy collapse gets."""
+    seen = []
+    real = topology._greedy_collapse
+
+    def counting(faces):
+        seen.append(len(faces))
+        return real(faces)
+
+    with mock.patch.object(topology, "_greedy_collapse", counting):
+        return reduced_homology(cpx), seen
+
+
 @settings(max_examples=40, deadline=None)
 @given(complexes(max_n=8, max_facets=5))
+# a 6-vertex simplex with a vertex joined to each of its vertices: the
+# simplex is coned over its six vertices, leaving the graph K_{2,6}
+@example(cpx_of(7, tuple(range(1, 7)), *[(i, 7) for i in range(1, 7)]))
+# a 6-vertex simplex F with the cone on vertex 7 over its boundary: the
+# trace of F is its six 5-vertex faces, whose cone would be larger than F
+@example(cpx_of(7, tuple(range(1, 7)), *[(*range(1, i), *range(i + 1, 8)) for i in range(1, 7)]))
 def test_homology_matches_dense_oracle(cpx):
-    assert reduced_homology(cpx) == oracle_betti(cpx)
+    betti, seen = collapsed_face_counts(cpx)
+    assert betti == oracle_betti(cpx)
+    # coning a facet never adds faces to the strong core
+    assert all(size <= len(topology._strong_core(cpx).face_set) for size in seen)
+
+
+def test_homology_of_an_cones_its_large_facet():
+    # the strong core of an_n is the facet {1..n} and the edges {i, n+1};
+    # coning the facet over its vertices leaves the graph K_{2,n}, 3n + 3
+    # faces with the empty one, where the core has 2^n + n + 1 (262,163 at n = 18)
+    for n in range(2, 19):
+        betti, seen = collapsed_face_counts(simplicial_complex(gen_an(n)))
+        assert betti == (0, n - 1) + (0,) * (2 * n - 2)
+        assert seen and max(seen) <= 3 * n + 3, n
+
+
+def strong_core_by_rebuilding(cpx):
+    """The reference strong core for the in-place deletion: the whole complex
+    rebuilt from its faces after every deletion."""
+    rest = topology._vertex_mask(cpx.facets)
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        if topology._apexes(cpx.facets, v):
+            cpx = complex_from_faces(cpx.n, (f & ~v for f in cpx.facets))
+            rest = topology._vertex_mask(cpx.facets)
+    return cpx
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes(max_n=9, max_facets=7))
+def test_strong_core_in_place_matches_rebuilding(cpx):
+    assert topology._strong_core(cpx) == strong_core_by_rebuilding(cpx)
 
 
 def oracle_column_rank(cols):
